@@ -5,7 +5,9 @@ Commands:
     conezeta verify <job.json>   reduction plus comparison with direct summation
 
 Flags: --precision <digits>, --trace <path>, --seed <u64>, --max-pieces <n>.
-Exit codes: 0 pass, 2 verification fail, 3 validation error, 4 divergent.
+Exit codes: 0 pass, 2 verification fail, 3 validation error, 4 divergent,
+5 internal error (a RuntimeError or AssertionError inside the reduction) or
+unsupported request (verify beyond the dimensions direct summation handles).
 """
 
 import argparse
@@ -17,7 +19,8 @@ from .exact import LatticeCharacter, rational_to_str, rational_from_str
 from .geometry import LinearForm
 from .pipeline import reduce_cone_zeta, PieceLimitExceeded
 from .polylog import DivergentResult
-from .numeric import eval_zexpr, eval_cone_zeta, zexpr_zero_check
+from .numeric import (eval_zexpr, eval_cone_zeta, zexpr_zero_check,
+                      DIRECT_MAX_DIM)
 
 SCHEMA_VERSION = 1
 
@@ -25,10 +28,15 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 2
 EXIT_VALIDATION = 3
 EXIT_DIVERGENT = 4
+EXIT_INTERNAL = 5
 
 
 class ValidationError(Exception):
     pass
+
+
+class UnsupportedJob(Exception):
+    """A valid job that the requested command cannot process."""
 
 
 def _expect_keys(obj, allowed, where):
@@ -154,6 +162,9 @@ def _trace_json(trace):
 def run_job(job, mode, precision=None, trace_path=None, seed=0,
             max_pieces=None):
     """Execute a parsed job; returns (report dict, exit code)."""
+    if mode == "verify" and job["m"] > DIRECT_MAX_DIM:
+        raise UnsupportedJob("verify: direct summation supports ambientDim "
+                             "<= %d, got %d" % (DIRECT_MAX_DIM, job["m"]))
     tol = 10.0 ** (-(precision if precision is not None else 6))
     tol = max(tol, 1e-10)
     result = reduce_cone_zeta(
@@ -233,6 +244,14 @@ def main(argv=None):
         print(json.dumps({"error": "VALIDATION", "message": str(e)},
                          sort_keys=True))
         return EXIT_VALIDATION
+    except UnsupportedJob as e:
+        print(json.dumps({"error": "UNSUPPORTED", "message": str(e)},
+                         sort_keys=True))
+        return EXIT_INTERNAL
+    except (RuntimeError, AssertionError) as e:
+        print(json.dumps({"error": "INTERNAL", "type": type(e).__name__,
+                          "message": str(e)}, sort_keys=True))
+        return EXIT_INTERNAL
     print(json.dumps(report, indent=1, sort_keys=True))
     return code
 

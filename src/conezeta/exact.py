@@ -57,17 +57,18 @@ def cyclotomic_poly(N):
 
 @lru_cache(maxsize=None)
 def _reduction_table(N):
-    """x^j mod Phi_N for j = 0 .. 2*(phi-1), as tuples of Fractions."""
+    """x^j mod Phi_N for j = 0 .. 2*(phi-1), each row as the sparse
+    (index, integer coefficient) pairs of its nonzero entries."""
     phi_coeffs = cyclotomic_poly(N)
     d = len(phi_coeffs) - 1
     rows = []
-    cur = [Fraction(0)] * d
+    cur = [0] * d
     if d > 0:
-        cur[0] = Fraction(1)
+        cur[0] = 1
     for _ in range(2 * d - 1 if d else 1):
-        rows.append(tuple(cur))
+        rows.append(tuple((t, r) for t, r in enumerate(cur) if r))
         # multiply by x, reduce
-        nxt = [Fraction(0)] + cur[:]
+        nxt = [0] + cur[:]
         if len(nxt) > d:
             lead = nxt.pop()
             if lead:
@@ -75,6 +76,25 @@ def _reduction_table(N):
                     nxt[i] -= lead * phi_coeffs[i]
         cur = nxt
     return tuple(rows), d
+
+
+@lru_cache(maxsize=None)
+def _embedding_table(N, M):
+    """Coordinates of zeta_N^j = zeta_M^(j*M/N) in Q(zeta_M) for
+    j < phi(N), each as the sparse (index, coefficient) pairs of its
+    nonzero entries."""
+    step = M // N
+    return tuple(tuple((t, int(r)) for t, r in enumerate(
+        CycloNumber.zeta(M, step * j).coords) if r)
+        for j in range(euler_phi(N)))
+
+
+def _cyclo(N, coords):
+    """CycloNumber from phi(N) Fraction coordinates, taken as they are."""
+    out = object.__new__(CycloNumber)
+    out.N = N
+    out.coords = tuple(coords)
+    return out
 
 
 def euler_phi(N):
@@ -122,12 +142,12 @@ class CycloNumber:
             return self
         if M % self.N != 0:
             raise ValueError("no embedding: %d does not divide %d" % (self.N, M))
-        step = M // self.N
-        out = CycloNumber.from_rational(0, M)
-        for j, c in enumerate(self.coords):
+        acc = [Fraction(0)] * euler_phi(M)
+        for c, row in zip(self.coords, _embedding_table(self.N, M)):
             if c:
-                out = out + CycloNumber.zeta(M, step * j) * CycloNumber.from_rational(c, M)
-        return out
+                for t, r in row:
+                    acc[t] += c * r
+        return _cyclo(M, acc)
 
     def _common(self, other):
         if isinstance(other, (int, Fraction)):
@@ -137,16 +157,16 @@ class CycloNumber:
 
     def __add__(self, other):
         a, b = self._common(other)
-        return CycloNumber(a.N, [x + y for x, y in zip(a.coords, b.coords)])
+        return _cyclo(a.N, [x + y for x, y in zip(a.coords, b.coords)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.N, [-c for c in self.coords])
+        return _cyclo(self.N, [-c for c in self.coords])
 
     def __sub__(self, other):
         a, b = self._common(other)
-        return CycloNumber(a.N, [x - y for x, y in zip(a.coords, b.coords)])
+        return _cyclo(a.N, [x - y for x, y in zip(a.coords, b.coords)])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -161,12 +181,10 @@ class CycloNumber:
             for j, y in enumerate(b.coords):
                 if not y:
                     continue
-                row = table[i + j]
                 xy = x * y
-                for t in range(d):
-                    if row[t]:
-                        acc[t] += xy * row[t]
-        return CycloNumber(a.N, acc)
+                for t, r in table[i + j]:
+                    acc[t] += xy * r
+        return _cyclo(a.N, acc)
 
     __rmul__ = __mul__
 
@@ -270,19 +288,6 @@ class CycloNumber:
         return "CycloNumber(N=%d, %s)" % (self.N, list(self.coords))
 
 
-def cyclo_arith(op, a, b=None):
-    """Dispatch {add, mul, inv, eq} on CycloNumbers."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    if op == "eq":
-        return a == b
-    raise ValueError("unknown op %r" % (op,))
-
-
 # ---------------------------------------------------------------------------
 # roots of unity
 
@@ -340,11 +345,6 @@ class RootOfUnity:
 ONE_ROOT = RootOfUnity(1, 0)
 
 
-def root_mul(a, b):
-    """Product of two roots of unity at the lcm modulus."""
-    return a * b
-
-
 def nth_roots(e, n):
     """All n-th roots of e: exactly n roots of unity b with b^n == e."""
     n = int(n)
@@ -391,11 +391,6 @@ class LatticeCharacter:
 
     def __repr__(self):
         return "LatticeCharacter(N=%d, exps=%s)" % (self.modulus, list(self.exps))
-
-
-def character_eval(chi, x):
-    """Evaluate a lattice character at a lattice point."""
-    return chi.eval(x)
 
 
 def restrict_character(chi, basis):

@@ -163,20 +163,24 @@ def zexpr_zero_check(tol=1e-8, terms=500_000):
 # ---------------------------------------------------------------------------
 # direct evaluation of the defining cone sum
 
+DIRECT_MAX_DIM = 2
+
+
 def eval_cone_zeta(generators, forms, character=None, radius=400,
                    refine=2):
     """Numeric value of sum over interior(C) cap Z^m of chi(x)/prod l(x)
     by direct enumeration with Richardson extrapolation over the cut-off.
 
-    Supports ambient dimension m <= 2 (sufficient as an oracle for the
-    bundled examples and tests); raises ValueError otherwise.
+    Supports ambient dimension m <= DIRECT_MAX_DIM (sufficient as an oracle
+    for the bundled examples and tests); raises ValueError otherwise.
     """
     from .geometry import Cone, LinearForm
 
     gens = [tuple(Fraction(x) for x in g) for g in generators]
     m = len(gens[0])
-    if m > 2:
-        raise ValueError("direct enumeration supports dimension <= 2")
+    if m > DIRECT_MAX_DIM:
+        raise ValueError("direct enumeration supports dimension <= %d"
+                         % DIRECT_MAX_DIM)
     fms = [f if isinstance(f, LinearForm) else LinearForm(f) for f in forms]
     C = Cone(gens)
 

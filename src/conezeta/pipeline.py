@@ -19,7 +19,7 @@ from .exact import (CycloNumber, LatticeCharacter, restrict_character,
 from .geometry import (Cone, SimplicialCone, LinearForm,
                        open_simplicial_decomposition, free_superlattice)
 from .derivation import build_derived_sequences, primitive_rescale
-from .rewrite import (integral_expression, convergence_check,
+from .rewrite import (Integrand, integral_expression, convergence_check,
                       change_coordinates, uni_factorize,
                       reduce_to_univariate, ReductionTrace)
 from .polylog import (PNormalForm, ZExpression, multiply_factor, integrate_P,
@@ -63,13 +63,6 @@ def integrand_function(I, check_zero=None, trace=None):
     recipe = reduce_to_univariate(I, trace)
     pnf = execute_recipe(recipe, check_zero)
     return integrate_P(pnf, ("t",), check_zero)
-
-
-def integrand_value(I, check_zero=None, trace=None):
-    """Box integral of a uni-factor integrand against prod dy_i/y_i."""
-    val, _ = regularize_limit(integrand_function(I, check_zero, trace),
-                              check_zero)
-    return val
 
 
 class ReductionResult:
@@ -138,7 +131,7 @@ def reduce_cone_zeta(generators, forms, character=None, trace=None,
         prepared.append((face, L, lbar, free_gens, kappa))
     total = ZExpression.zero()
     stats = {"pieces": len(pieces), "characters": 0, "branches": 0,
-             "uni_terms": 0}
+             "uni_terms": 0, "distinct_integrands": 0}
     for face, L, lbar, free_gens, kappa in prepared:
         chi_l = restrict_character(character, L.basis)
         for chi in induced_character_decompose(lbar, chi_l):
@@ -151,6 +144,29 @@ def reduce_cone_zeta(generators, forms, character=None, trace=None,
 
 def _reduce_integrand(I, trace, check_zero, stats):
     """Reduce a type-S integrand on the open unit box to a ZExpression."""
+    # the recipe is linear in the uni-term's coefficient, so uni-terms with
+    # equal factors are integrated once, with their coefficients summed
+    groups = {}
+    for IU in _uni_terms(I, trace, stats):
+        key = (IU.factors, IU.nvars)
+        groups[key] = groups[key] + IU.coeff if key in groups else IU.coeff
+    # per-term limits at 1 may diverge with cancellation across terms, so
+    # sum the partial integrals as functions of the shared last variable
+    # and regularize once
+    fn = PNormalForm.zero()
+    for (factors, nvars), coeff in groups.items():
+        if coeff.is_zero():
+            continue
+        stats["distinct_integrands"] += 1
+        IU = Integrand(coeff, factors, nvars, tag="U")
+        fn = fn + integrand_function(IU, check_zero, trace)
+    value, _ = regularize_limit(fn, check_zero)
+    return value
+
+
+def _uni_terms(I, trace, stats):
+    """Uni-factor integrands summing to a type-S integrand I, over the
+    derived-sequence branches of the coordinate orthant."""
     n = I.nvars
     # decompose the coordinate orthant by the factor exponent classes
     seen = set()
@@ -165,13 +181,8 @@ def _reduce_integrand(I, trace, check_zero, stats):
     branches = build_derived_sequences(orthant, sforms)
     stats["branches"] += len(branches)
     rescaled = [primitive_rescale(ds)[1] for ds in branches]
-    # per-term limits at 1 may diverge with cancellation across terms, so
-    # sum the partial integrals as functions of the shared last variable
-    # and regularize once
-    fn = PNormalForm.zero()
+    out = []
     for ds, ID in change_coordinates(I, rescaled, trace):
-        for IU in uni_factorize(ID, ds, trace):
-            stats["uni_terms"] += 1
-            fn = fn + integrand_function(IU, check_zero, trace)
-    value, _ = regularize_limit(fn, check_zero)
-    return value
+        out.extend(uni_factorize(ID, ds, trace))
+    stats["uni_terms"] += len(out)
+    return out

@@ -290,15 +290,6 @@ class PNormalForm:
     def is_zero(self):
         return not self.terms
 
-    def value_at_zero(self):
-        """F(0) as a ZExpression (poles and nonempty words vanish at 0...
-        poles equal 1 at y=0, words vanish unless empty)."""
-        total = ZExpression.zero()
-        for (pole, word), c in self.terms.items():
-            if not word:
-                total = total + c
-        return total
-
     def __repr__(self):
         return "PNormalForm(%d terms)" % len(self.terms)
 

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from conezeta import cli
 from conezeta.cli import (main, parse_job, ValidationError, EXIT_PASS,
-                          EXIT_VERIFY_FAIL, EXIT_VALIDATION, EXIT_DIVERGENT)
+                          EXIT_VERIFY_FAIL, EXIT_VALIDATION, EXIT_DIVERGENT,
+                          EXIT_INTERNAL)
 
 
 def write_job(tmp_path, doc, name="job.json"):
@@ -148,3 +150,32 @@ class TestMain:
         assert main(["reduce", path]) == EXIT_PASS
         report = json.loads(capsys.readouterr().out)
         assert report["budgets"]["tolerance"] == 1e-8
+
+    @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+    def test_internal_error_is_typed(self, tmp_path, capsys, monkeypatch,
+                                     exc):
+        def fail(*args, **kwargs):
+            raise exc("slot resolution did not terminate")
+
+        monkeypatch.setattr(cli, "reduce_cone_zeta", fail)
+        path = write_job(tmp_path, zeta2_job())
+        assert main(["reduce", path]) == EXIT_INTERNAL
+        err = json.loads(capsys.readouterr().out)
+        assert err == {"error": "INTERNAL", "type": exc.__name__,
+                       "message": "slot resolution did not terminate"}
+
+    def test_verify_3d_unsupported_before_reducing(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("verify reduced an unsupported job")
+
+        monkeypatch.setattr(cli, "reduce_cone_zeta", fail)
+        doc = {"ambientDim": 3,
+               "cone": {"generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+               "forms": [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0],
+                         [0, 0, 1], [0, 0, 1]]}
+        path = write_job(tmp_path, doc)
+        assert main(["verify", path]) == EXIT_INTERNAL
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "UNSUPPORTED"
+        assert "ambientDim" in err["message"]

@@ -51,6 +51,32 @@ class TestCycloNumber:
         if not x.is_zero():
             assert (x * x.inverse() - ONE.embed(3)).is_zero()
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cached_embedding_and_trusted_results(self, data):
+        M = data.draw(st.integers(1, 12))
+        divisors = [n for n in range(1, M + 1) if M % n == 0]
+        Na = data.draw(st.sampled_from(divisors))
+        Nb = data.draw(st.sampled_from(divisors))
+        a = CycloNumber(Na, data.draw(st.lists(
+            rationals, min_size=euler_phi(Na), max_size=euler_phi(Na))))
+        b = CycloNumber(Nb, data.draw(st.lists(
+            rationals, min_size=euler_phi(Nb), max_size=euler_phi(Nb))))
+        # the embedding built from zeta_M powers, one coordinate at a time
+        by_zeta = CycloNumber.from_rational(0, M)
+        for j, c in enumerate(a.coords):
+            by_zeta = by_zeta + (CycloNumber.zeta(M, j * (M // Na))
+                                 * CycloNumber.from_rational(c, M))
+        lifted = a.embed(M)
+        assert (lifted.N, lifted.coords) == (by_zeta.N, by_zeta.coords)
+        for r in (a + b, a - b, a * b, -a, lifted):
+            public = CycloNumber(r.N, r.coords)
+            assert all(type(c) is Fraction for c in r.coords)
+            assert r == public and public == r
+            assert hash(r) == hash(public)
+        assert close((a * b).to_complex(), a.to_complex() * b.to_complex(),
+                     1e-9)
+
     def test_embedding_compatible(self):
         z3 = CycloNumber.zeta(3)
         lifted = z3.embed(6)

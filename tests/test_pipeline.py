@@ -110,3 +110,33 @@ class TestAgainstDirectSummation:
         direct = eval_cone_zeta(gens, [LinearForm(f) for f in forms],
                                 radius=800)
         assert abs(sym.value - direct.value) < 1e-4
+
+
+class TestGroupedIntegration:
+    """Uni-terms with equal factors are integrated once, coefficients summed;
+    the answer must equal the sum over every uni-term integrated alone."""
+
+    @pytest.mark.parametrize("forms", [[(2, -1), (1, 0), (1, 1)],
+                                       [(1, 1), (1, 1), (1, 1)]])
+    def test_grouping_matches_per_term_sum(self, forms, monkeypatch):
+        from conezeta import pipeline
+        from conezeta.polylog import PNormalForm
+        gens = [[1, 0], [1, 2]]
+        chi = LatticeCharacter([[1, 0], [0, 1]], 2, [1, 0])
+        grouped = reduce_cone_zeta(gens, forms, character=chi,
+                                   collect_trace=True)
+        assert grouped.stats["distinct_integrands"] \
+            < grouped.stats["uni_terms"]
+        assert grouped.trace.replay()
+
+        def per_term(I, trace, check_zero, stats):
+            fn = PNormalForm.zero()
+            for IU in pipeline._uni_terms(I, trace, stats):
+                fn = fn + pipeline.integrand_function(IU, check_zero, trace)
+            return pipeline.regularize_limit(fn, check_zero)[0]
+
+        monkeypatch.setattr(pipeline, "_reduce_integrand", per_term)
+        reference = reduce_cone_zeta(gens, forms, character=chi)
+        assert (grouped.value - reference.value).is_zero()
+        assert repr(grouped.symbols()) == repr(reference.symbols())
+        assert reference.stats["uni_terms"] == grouped.stats["uni_terms"]
