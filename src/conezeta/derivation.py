@@ -11,8 +11,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .geometry import (Cone, LinearForm, SimplicialCone, dot, refine_definite,
-                       span_integer_lattice)
+from .geometry import Cone, LinearForm, SimplicialCone, refine_definite
 from .linalg import primitive_int_vector, solve_consistent
 
 
@@ -97,26 +96,6 @@ def derived_level(level):
         cross = [a1[0] * x2 - a2[0] * x1 for x1, x2 in zip(a1[1:], a2[1:])]
         if any(x != 0 for x in cross):
             out.add(class_vector(cross))
-    return out
-
-
-def derived_set(S, F, v):
-    """Derived set of ambient forms S on facet F w.r.t. dual vector v.
-
-    Returns canonical value-vector classes on F's generators.
-    """
-    forms = [LinearForm(f) if not isinstance(f, LinearForm) else f for f in S]
-    out = set()
-    for f in forms:
-        vals = [f(g) for g in F.generators]
-        if any(x != 0 for x in vals):
-            out.add(class_vector(vals))
-    nz = [f for f in forms if f(v) != 0]
-    for f1, f2 in itertools.combinations(nz, 2):
-        a1, a2 = f1(v), f2(v)
-        vals = [a1 * f2(g) - a2 * f1(g) for g in F.generators]
-        if any(x != 0 for x in vals):
-            out.add(class_vector(vals))
     return out
 
 
@@ -249,29 +228,3 @@ def primitive_rescale(D):
                                new_levels)
     return e, rescaled
 
-
-def restrict_derived(D, index_set):
-    """Restriction of a derived sequence to a regular face.
-
-    `index_set` lists the 0-based generator indices of the face in increasing
-    order; it must contain the last index n-1 (regularity).
-    """
-    idx = sorted(index_set)
-    n = D.n
-    if idx[-1] != n - 1:
-        raise ValueError("face is not regular (must contain the last generator)")
-    gens = [D.cone.generators[i] for i in idx]
-    levels = []
-    for j, ij in enumerate(idx):
-        # level j of the restriction comes from level ij of D
-        src = D.levels[ij]
-        sub = []
-        for v in src:
-            vals = tuple(v[i - ij] for i in idx[j:])
-            if any(x != 0 for x in vals):
-                sub.append(vals)
-            else:
-                raise AssertionError(
-                    "restriction of %s to regular face is zero" % (v,))
-        levels.append(sub)
-    return DerivedSequence(SimplicialCone(gens), levels)

@@ -4,9 +4,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .linalg import (frac_matrix, mat_det, mat_inverse, mat_rank, mat_vec,
-                     nullspace, primitive_int_vector, smith_normal_form,
-                     solve_consistent)
+from .linalg import (mat_det, mat_inverse, mat_rank, nullspace,
+                     primitive_int_vector, smith_normal_form, solve_consistent)
 
 
 def primitive_ray(v):
@@ -311,78 +310,6 @@ class SimplicialCone(Cone):
         if any(Fraction(a) != Fraction(b) for a, b in zip(back, x)):
             raise ValueError("point not in the span of the cone")
         return c
-
-
-class Flag:
-    """Complete flag of faces of a simplicial cone, encoded by generator order.
-
-    Level i face is the cone on generators[i:]; level 0 is the full cone.
-    """
-
-    __slots__ = ("cone",)
-
-    def __init__(self, cone):
-        self.cone = cone
-
-    @property
-    def n(self):
-        return len(self.cone.generators)
-
-    def level(self, i):
-        return SimplicialCone(self.cone.generators[i:]) if i < self.n else None
-
-    def __repr__(self):
-        return "Flag(%r)" % (self.cone,)
-
-
-def standard_coordinates(flag):
-    """Dual basis rows eta_1..eta_n (exact inverse of the generator matrix)."""
-    cone = flag.cone if isinstance(flag, Flag) else flag
-    G = [list(g) for g in cone.generators]
-    if len(G) != len(G[0]):
-        raise ValueError("standard coordinates need a full-dimensional cone")
-    # eta_i(x) = row i of G^{-1} applied to x, where columns of G are generators
-    cols = [[G[j][i] for j in range(len(G))] for i in range(len(G))]
-    Hrows = mat_inverse(cols)
-    return [LinearForm(row) for row in Hrows]
-
-
-def dual_face(delta, sigma):
-    """Face on the complementary generator set of sigma inside delta."""
-    sig = set(sigma.generators)
-    comp = [g for g in delta.generators if g not in sig]
-    if len(comp) + len(sig) != len(delta.generators):
-        raise ValueError("sigma is not a face of delta")
-    if not comp:
-        raise ValueError("dual face of the full cone is empty")
-    return SimplicialCone(comp)
-
-
-def linear_join(sigma1, sigma2):
-    """Join of two cones with independent spans."""
-    gens = list(sigma1.generators) + list(sigma2.generators)
-    if mat_rank(gens) != len(gens):
-        raise ValueError("joined generators are not independent")
-    return SimplicialCone(gens)
-
-
-def regular_faces(flag):
-    """Faces whose generator index set contains the last index.
-
-    Returns (index_set, face) pairs; index sets are 0-based and sorted.
-    """
-    n = flag.n
-    out = []
-    for r in range(1, n + 1):
-        for sub in itertools.combinations(range(n - 1), r - 1):
-            idx = tuple(sorted(sub + (n - 1,)))
-            out.append((idx, flag.cone.face(idx)))
-    return out
-
-
-def irregular_face(flag):
-    """Dual of the last flag level: the face on generators[:-1]."""
-    return SimplicialCone(flag.cone.generators[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,6 @@ def identity(n, one=1):
     return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def mat_rank(rows):
     """Rank of a matrix with rational entries (Gaussian elimination)."""
     A = frac_matrix(rows)
@@ -90,12 +86,6 @@ def mat_det(rows):
                 f = A[r][col] * inv
                 A[r] = [a - f * b for a, b in zip(A[r], A[col])]
     return det
-
-
-def solve_exact(A, b):
-    """Solve A x = b exactly; raises if singular/inconsistent (square A)."""
-    inv = mat_inverse(A)
-    return mat_vec(inv, b)
 
 
 def solve_consistent(A, b):

@@ -1,18 +1,16 @@
 """Numeric oracle: independent floating-point evaluation.
 
-Everything here computes values directly from defining sums and integrals,
-without using the symbolic reduction machinery, so it can serve as an
-independent check of the pipeline output.
+Everything here computes values from defining sums, convergent series and
+integrals, without using the symbolic reduction machinery, so it can serve
+as an independent check of the pipeline output.
 """
 
 import math
-import cmath
-import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from .polylog import mzv_symbol_from_word, MZVSymbol
+from .polylog import mzv_symbol_from_word
 
 
 class EvalResult:
@@ -28,15 +26,104 @@ class EvalResult:
         return "EvalResult(%r, err<=%g)" % (self.value, self.error)
 
 
-def _log_int_tail(N, k, j):
-    """Integral over s > N of (log s)^j / s^k ds, for k >= 2."""
-    # substitute s = N e^t: N^(1-k) sum_i C(j,i) (log N)^(j-i) i!/(k-1)^(i+1)
-    lo = math.log(N)
-    total = 0.0
-    for i in range(j + 1):
-        total += (math.comb(j, i) * lo ** (j - i) * math.factorial(i)
-                  / (k - 1) ** (i + 1))
-    return N ** (1 - k) * total
+# unit roundoff of a double, and the truncation error each series aims for
+_U = 2.0 ** -53
+_TAIL = 1e-17
+
+
+def _letter(e):
+    """The letter 1/e of the word of an MZV with root e, and whether it is
+    exactly 1.  RootOfUnity roots are inverted exactly; a complex root
+    within 1e-12 of 1 counts as 1."""
+    if hasattr(e, "inverse"):
+        a = e.inverse()
+        return complex(a.to_complex()), a.is_one()
+    a = 1 / complex(e)
+    if abs(a - 1.0) < 1e-12:
+        return 1 + 0j, True
+    return a, False
+
+
+def _tail_bound(r, k, M):
+    """Bound on sum over n > M of r^n (1+log n)^(k-1) / (n (k-1)!).
+
+    That term bounds the n-th scaled series coefficient of a word with k
+    nonzero letters whose ratios |y/b| are all at most r < 1: the nested
+    sum over n > n_2 > ... > n_k > 0 of 1/(n n_2...n_k) is at most
+    H_(n-1)^(k-1) / (n (k-1)!).  Here (1+log x)^(k-1)/x decreases beyond
+    e^(k-2), so its largest value over n > M times the geometric tail
+    r^(M+1)/(1-r) bounds the sum.
+    """
+    x = max(M + 1.0, math.exp(k - 2))
+    f = (1 + math.log(x)) ** (k - 1) / (x * math.factorial(k - 1))
+    return r ** (M + 1) * f / (1 - r)
+
+
+def _nested_series(letters, y, terms):
+    """Values and error bounds of G(b_l, ..., b_1; y) for l = 0..len(letters),
+    where letters = [b_1, b_2, ...] lists the innermost letter first, None
+    stands for the letter 0, b_1 is nonzero and |y/b| < 1 for every nonzero
+    letter b.
+
+    G(b_l..b_1; y) is the integral over 0 < t < y of G(b_(l-1)..b_1; t)
+    dt/(t - b_l).  With every power series coefficient c_n scaled to
+    c_n y^n, a letter 0 divides coefficient n by n, and a letter b turns
+    coefficients c into -z e_(n-1)/n with e_n = c_n + z e_(n-1), z = y/b.
+    All levels run up to one length: the shortest whose proven tail
+    (_tail_bound) is below _TAIL at every level, capped at `terms`.  The
+    rounding term runs the same recurrences on absolute values: a term of
+    index n on level l passes through at most n + l steps, each step
+    rounds a few times and multiplies by a z carrying the error of its
+    letter.
+    """
+    zs = [None if b is None else y / b for b in letters]
+    ratios, depths = [], []
+    r, k = 0.0, 0
+    for z in zs:
+        if z is not None:
+            r, k = max(r, abs(z)), k + 1
+        ratios.append(r)
+        depths.append(k)
+    M = 0
+    for r, k in zip(ratios, depths):
+        n = max(int(math.log(_TAIL * (1 - r)) / math.log(r)), M)
+        while n < terms and _tail_bound(r, k, n) > _TAIL:
+            n += 1
+        M = min(n, terms)
+    # one step is a complex multiply by z, an add and a divide (under 5
+    # units of roundoff) plus the relative error of z: y is exact, and a
+    # letter a or 1 - a is off by under 20 units absolute (to_complex)
+    step = 8 + 20 / min(abs(b) for b in letters if b is not None)
+
+    L = len(zs)
+    c, e = [0j] * L, [0j] * L
+    ac, ae = [0.0] * L, [0.0] * L
+    cols = [[] for _ in range(L)]
+    weight = [0.0] * L
+    for n in range(1, M + 1):
+        # coefficients n-1 (prev) and n (cur) of level 0, the constant 1
+        prev = aprev = 1.0 if n == 1 else 0.0
+        cur = acur = 0.0
+        for l, z in enumerate(zs):
+            below, abelow = prev, aprev  # coefficient n-1 of level l-1
+            prev, aprev = c[l], ac[l]
+            if z is None:
+                cur, acur = cur / n, acur / n
+            else:
+                e[l] = below + z * e[l]
+                ae[l] = abelow + abs(z) * ae[l]
+                cur, acur = -z * e[l] / n, abs(z) * ae[l] / n
+            c[l], ac[l] = cur, acur
+            cols[l].append(cur)
+            weight[l] += (n + l + 1) * acur
+    out = [(1 + 0j, 0.0)]
+    for l in range(L):
+        v = complex(math.fsum(x.real for x in cols[l]),
+                    math.fsum(x.imag for x in cols[l]))
+        err = (_tail_bound(ratios[l], depths[l], M)
+               + _U * (step * weight[l] + 2 * abs(v)))
+        out.append((v, err))
+    return out
 
 
 def eval_mzv(ks, eps, terms=2_000_000):
@@ -46,84 +133,49 @@ def eval_mzv(ks, eps, terms=2_000_000):
     eps entries may be RootOfUnity objects or complex numbers of modulus 1.
     Returns an EvalResult.  Raises ValueError on the divergent case
     k_m = 1, eps_m = 1.
+
+    Uses the Hoelder convolution of Borwein, Bradley, Broadhurst and
+    Lisonek ("Special values of multiple polylogarithms", 2001): the value
+    is (-1)^m G(a_1..a_n; 1), the multiple polylogarithm of the word
+    0^(k_m-1) 1/eps_m ... 0^(k_1-1) 1/eps_1.  Splitting its path at
+    x = 1/(1+d), d = min(1, |1-a| over letters a other than 0 and 1), gives
+    G(a_1..a_n; 1) = sum_j (-1)^j G(1-a_j..1-a_1; 1-x) G(a_(j+1)..a_n; x),
+    and every factor is a power series whose terms shrink geometrically by
+    1/(1+d) (1/2 for roots of order at most 6).  `terms` caps the length
+    of each series; the default never binds.  The error is the proven
+    truncation bound of every series plus a bound on floating-point
+    rounding.
     """
     ks = [int(k) for k in ks]
     m = len(ks)
-    ev = [complex(e.to_complex()) if hasattr(e, "to_complex") else complex(e)
-          for e in eps]
-    if len(ev) != m:
+    if len(eps) != m:
         raise ValueError("depth mismatch")
     if m == 0:
         return EvalResult(1.0, 0.0)
-    if ks[-1] == 1 and abs(ev[-1] - 1.0) < 1e-12:
+    if min(ks) < 1:
+        raise ValueError("weights must be positive")
+    word = []  # (letter, letter is exactly 1), outermost first; None is 0
+    for k, e in zip(reversed(ks), reversed(eps)):
+        word += [(None, False)] * (k - 1) + [_letter(e)]
+    if word[0][1]:
         raise ValueError("divergent symbol")
-    # rewrite in partial sums: sum over 0 < s_1 < ... < s_m of
-    # prod eta_i^(s_i) / s_i^(k_i), with eta_i = eps_i / eps_(i+1)
-    etas = [ev[i] / ev[i + 1] for i in range(m - 1)] + [ev[-1]]
-    N = int(terms)
-    s = np.arange(1, N + 1, dtype=float)
-    powers = []
-    for eta in etas:
-        ang = cmath.phase(eta)
-        if abs(eta - 1.0) < 1e-12:
-            powers.append(None)  # means all ones
-        else:
-            powers.append(np.exp(1j * ang * s))
-    T = np.ones(N, dtype=complex)  # T_0 evaluated at s (before shift)
-    for j in range(m - 1):
-        f = T / s ** ks[j]
-        if powers[j] is not None:
-            f = f * powers[j]
-        cs = np.cumsum(f)
-        # T_{j+1}(s) = sum over s' < s
-        T = np.empty(N, dtype=complex)
-        T[0] = 0.0
-        T[1:] = cs[:-1]
-    f = T / s ** ks[-1]
-    if powers[-1] is not None:
-        f = f * powers[-1]
-    k = ks[-1]
-    if powers[-1] is None and k < 2:
-        raise ValueError("divergent symbol")
-
-    def estimate(M):
-        """Head + tail estimate with the outer sum cut off at M."""
-        head = np.sum(f[:M][::-1])  # small terms first
-        if powers[-1] is not None:
-            eta = etas[-1]
-            g_n = f[M - 1] / powers[-1][M - 1]
-            g_n1 = f[M - 2] / powers[-1][M - 2]
-            dg = g_n - g_n1
-            w = eta ** (M + 1) / (1 - eta)
-            tail = w * ((g_n + dg) + (eta / (1 - eta)) * dg)
-        else:
-            # T_{m-1}(s) grows at most like a polynomial in log s; fit one
-            # on geometric sample points and integrate the fitted tail
-            deg = min(m - 1, 3)
-            pts = [M // (2 ** i) for i in range(deg + 1)]
-            A = [[math.log(p) ** j for j in range(deg + 1)] for p in pts]
-            b = [complex(T[p - 1]) for p in pts]
-            coefs = np.linalg.solve(np.array(A), np.array(b))
-            M2 = M + 0.5  # midpoint rule for the sum over s >= M+1
-            tail = sum(c * _log_int_tail(M2, k, j)
-                       for j, c in enumerate(coefs))
-        return complex(head + tail)
-
-    # inner partial sums approach their limits only polynomially, which the
-    # outer tail formulas cannot see; estimate that drift empirically from
-    # three cutoffs and extrapolate it geometrically
-    S1, S2, S3 = estimate(N // 4), estimate(N // 2), estimate(N)
-    value = S3
-    base = abs(S3) * 1e-13 * math.sqrt(m)
-    d1, d2 = S3 - S2, S2 - S1
-    if abs(d2) > 0 and abs(d1) < 0.9 * abs(d2):
-        rho = d1 / d2
-        corr = d1 * rho / (1 - rho)
-        value = S3 + corr
-        err = base + 0.5 * abs(corr) + 1e-12
-    else:
-        err = base + 2.0 * (abs(d1) + abs(d2)) + 1e-12
-    return EvalResult(value, err)
+    if any(a is not None and abs(abs(a) - 1) > 1e-12 for a, _ in word):
+        raise ValueError("roots must have modulus 1")
+    d = min([1.0] + [abs(1 - a) for a, one in word
+                     if a is not None and not one])
+    x = 1 / (1 + d)
+    left = _nested_series([1 + 0j if a is None else None if one else 1 - a
+                           for a, one in word], 1 - x, terms)
+    right = _nested_series([a for a, _ in reversed(word)], x, terms)
+    n = len(word)
+    total, err, size = 0j, 0.0, 0.0
+    for j in range(n + 1):
+        (lv, lerr), (rv, rerr) = left[j], right[n - j]
+        total += (-1) ** j * lv * rv
+        err += abs(lv) * rerr + abs(rv) * lerr + lerr * rerr
+        size += abs(lv * rv)
+    err += _U * (n + 3) * size
+    return EvalResult((-1) ** m * total, err)
 
 
 def eval_symbol(sym, terms=2_000_000):
@@ -141,7 +193,9 @@ def eval_word(word, terms=2_000_000):
 
 
 def eval_zexpr(zx, terms=2_000_000):
-    """Numeric value of a ZExpression."""
+    """Numeric value of a ZExpression: every word goes through eval_mzv
+    (`terms` caps its series lengths), and the error is the sum of the
+    word errors weighted by the moduli of their coefficients."""
     total = 0j
     err = 0.0
     for w, c in zx.terms.items():
@@ -153,7 +207,10 @@ def eval_zexpr(zx, terms=2_000_000):
 
 
 def zexpr_zero_check(tol=1e-8, terms=500_000):
-    """Callback deciding whether a ZExpression vanishes numerically."""
+    """Callback deciding whether a ZExpression vanishes numerically: its
+    eval_zexpr value (series capped at `terms`) has modulus at most
+    max(tol, 4 * error).  The error of an uncapped evaluation is far below
+    1e-8, so `tol` decides."""
     def check(zx):
         r = eval_zexpr(zx, terms)
         return abs(r.value) <= max(tol, 4 * r.error)

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .exact import CycloNumber, RootOfUnity, nth_roots
+from .exact import CycloNumber, nth_roots
 
 ONE = CycloNumber.from_rational(1, 1)
 
@@ -333,23 +333,6 @@ def change_coordinates(I, pieces, trace=None):
                 factors.extend(fl)
             out.append((ds, Integrand(coeff, factors, n, tag="D")))
     return out
-
-
-# ---------------------------------------------------------------------------
-# zero sets and convergence bookkeeping
-
-def zero_set(I):
-    """Variables dividing the numerator of the integrand."""
-    out = set()
-    for f in I.factors:
-        if f.s > 0:
-            out.update(i for i, x in enumerate(f.exps) if x > 0)
-    return out
-
-
-def check_convergence_box(I, k):
-    """Numerator divisible by y_1..y_k (weight-k convergence condition)."""
-    return set(range(k)) <= zero_set(I)
 
 
 # ---------------------------------------------------------------------------

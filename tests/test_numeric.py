@@ -1,12 +1,18 @@
+import ast
 import math
+import os
+import random
+from fractions import Fraction
 
-from conezeta.exact import RootOfUnity, LatticeCharacter
+import mpmath
+
+from conezeta.exact import CycloNumber, RootOfUnity, LatticeCharacter
 from conezeta.geometry import LinearForm
 from conezeta.polylog import ZExpression
 from conezeta.rewrite import integral_expression
 from conezeta.numeric import (eval_mzv, eval_word, eval_zexpr,
                               zexpr_zero_check, eval_cone_zeta,
-                              quad_check)
+                              quad_check, _tail_bound)
 
 W0 = None
 W1 = RootOfUnity(1, 0)
@@ -54,6 +60,131 @@ class TestEvalMZV:
               - ZExpression.from_word((W0, W1)))
         assert zexpr_zero_check()(zx)
         assert not zexpr_zero_check()(ZExpression.from_word((W0, W1)))
+        # zeta(2) - 1.6449340 is about 6.7e-8, just above tol = 1e-8
+        near = ZExpression.from_word((W0, W1)) - ZExpression.from_cyclo(
+            CycloNumber.from_rational(Fraction(16449340, 10 ** 7)))
+        assert abs(eval_zexpr(near).value) < 1e-7
+        assert not zexpr_zero_check()(near)
+
+
+def mp_root(eta):
+    return mpmath.expjpi(mpmath.mpf(2 * eta.exp) / eta.order)
+
+
+def mp_li(k, eta):
+    """Li_k(eta) = zeta(k; eta) from mpmath closed forms."""
+    if eta.is_one():
+        return mpmath.zeta(k)
+    if k == 1:
+        return -mpmath.log(1 - mp_root(eta))
+    return mpmath.polylog(k, mp_root(eta))
+
+
+class TestHonestBounds:
+    """|value - truth| <= error against mpmath, with a small finite error."""
+
+    def check(self, r, truth, what):
+        assert math.isfinite(r.error) and r.error <= 1e-12, (what, r)
+        assert abs(r.value - complex(truth)) <= r.error, (what, r, truth)
+
+    def test_depth_one_closed_forms(self):
+        rng = random.Random(1)
+        with mpmath.workdps(30):
+            for N in range(1, 61):
+                for j in sorted({1 % N, rng.randrange(N)}):
+                    eta = RootOfUnity(N, j)
+                    for k in (1, 2, 3, 5):
+                        if k == 1 and eta.is_one():
+                            continue
+                        self.check(eval_mzv((k,), (eta,)), mp_li(k, eta),
+                                   (k, eta))
+
+    def test_depth_two_and_three_zeta_values(self):
+        with mpmath.workdps(30):
+            z3, z6 = mpmath.zeta(3), mpmath.zeta(6)
+            cases = [
+                ((1, 2), z3),  # Euler: zeta(2,1) = zeta(3)
+                ((1, 1, 4), mpmath.mpf(23) / 16 * z6 - z3 ** 2),
+                ((2, 2, 2), mpmath.pi ** 6 / mpmath.factorial(7)),
+            ]
+            for ks, truth in cases:
+                self.check(eval_mzv(ks, (W1,) * len(ks)), truth, ks)
+
+    def test_stuffle_at_roots_of_unity(self):
+        # Li_a(x) Li_b(y) = Li_(a,b)(x,y) + Li_(b,a)(y,x) + Li_(a+b)(xy),
+        # Li_(a,b)(x,y) = sum over n > m > 0 of x^n y^m / (n^a m^b)
+        #              = zeta(b, a; xy, x)
+        rng = random.Random(2)
+        with mpmath.workdps(30):
+            for _ in range(25):
+                x = RootOfUnity(rng.randint(1, 12), rng.randrange(12))
+                y = RootOfUnity(rng.randint(1, 12), rng.randrange(12))
+                a, b = rng.randint(1, 3), rng.randint(1, 3)
+                if (a == 1 and x.is_one()) or (b == 1 and y.is_one()):
+                    continue
+                p = eval_mzv((b, a), (x * y, x))
+                q = eval_mzv((a, b), (x * y, y))
+                for r in (p, q):
+                    assert math.isfinite(r.error) and r.error <= 1e-12
+                truth = mp_li(a, x) * mp_li(b, y) - mp_li(a + b, x * y)
+                assert (abs(p.value + q.value - complex(truth))
+                        <= p.error + q.error), (a, b, x, y)
+
+    def test_truncated_series_widen_the_error(self):
+        with mpmath.workdps(30):
+            eta = RootOfUnity(60, 1)
+            for ks, eps, truth in [((2,), (W1,), mpmath.zeta(2)),
+                                   ((1, 2), (W1, W1), mpmath.zeta(3)),
+                                   ((2,), (eta,), mp_li(2, eta))]:
+                r = eval_mzv(ks, eps, terms=5)
+                assert math.isfinite(r.error) and r.error > 1e-6, ks
+                assert abs(r.value - complex(truth)) <= r.error, ks
+
+    def test_tail_bound_covers_the_majorant_sum(self):
+        # sum over n > M of r^n (1+log n)^(k-1) / (n (k-1)!), summed directly
+        for r in (0.5, 0.9, 0.99):
+            stop = int(math.log(1e-30) / math.log(r))
+            for k in (1, 3, 6, 8):
+                for M in (0, 3, 60):
+                    direct = math.fsum(
+                        r ** n * (1 + math.log(n)) ** (k - 1)
+                        / (n * math.factorial(k - 1))
+                        for n in range(M + 1, stop))
+                    assert direct <= _tail_bound(r, k, M), (r, k, M)
+
+
+def conezeta_imports(tree):
+    """conezeta modules a module imports, relatively or absolutely."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("conezeta." if node.level else "") + (node.module or "")
+            mods = [base.rstrip(".") + "." + a.name for a in node.names]
+            mods += [base] if node.module else []
+        else:
+            continue
+        for mod in mods:
+            parts = mod.split(".")
+            if parts[0] == "conezeta" and len(parts) > 1:
+                yield parts[1]
+
+
+def test_oracle_is_independent_of_the_reduction():
+    """numeric, and every conezeta module it imports, stays clear of the
+    reduction modules rewrite, pipeline and derivation."""
+    pkg = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                       "conezeta")
+    seen, todo = set(), ["numeric"]
+    while todo:
+        mod = todo.pop()
+        if mod in seen or not os.path.exists(os.path.join(pkg, mod + ".py")):
+            continue
+        seen.add(mod)
+        with open(os.path.join(pkg, mod + ".py")) as fh:
+            todo.extend(conezeta_imports(ast.parse(fh.read())))
+    assert "numeric" in seen and "polylog" in seen, seen
+    assert not seen & {"rewrite", "pipeline", "derivation"}, seen
 
 
 class TestEvalWord:
