@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exact import RootOfUnity
+from .linalg import mat_inverse
 from .polylog import mzv_symbol_from_word
 
 
@@ -223,13 +225,51 @@ def zexpr_zero_check(tol=1e-8, terms=500_000):
 DIRECT_MAX_DIM = 2
 
 
+def _character_values(character, m):
+    """Vectorised character: a function taking an (n, m) int64 array of
+    lattice points to the n complex values chi(x), each equal bit for bit
+    to complex(character.eval(x).to_complex()).
+
+    The square basis B (rows are basis vectors) is inverted exactly once:
+    B^-1 = A / q with A integer, so a point x = c B has coordinates
+    c = (x A) / q and chi(x) = zeta_N^(c . exps).  A is reduced mod q N,
+    which keeps both the divisibility by q and the class of c mod N.
+    Raises ValueError for a basis that is not square of size m or is
+    singular, and for a point outside the lattice.
+    """
+    B = character.basis
+    if len(B) != m or any(len(row) != m for row in B):
+        raise ValueError("character basis must be square of size %d" % m)
+    inv = mat_inverse(B)
+    q = math.lcm(*(x.denominator for row in inv for x in row))
+    N = character.modulus
+    A = np.array([[int(x * q) % (q * N) for x in row] for row in inv],
+                 dtype=np.int64)
+    exps = np.array(character.exps, dtype=np.int64)
+    table = np.array([complex(RootOfUnity(N, j).to_complex())
+                      for j in range(N)])
+
+    def values(X):
+        qc = X @ A
+        off = np.any(qc % q, axis=1)
+        if off.any():
+            x = tuple(int(v) for v in X[np.argmax(off)])
+            raise ValueError("point %r is not in the lattice" % (x,))
+        return table[((qc // q) @ exps) % N]
+
+    return values
+
+
 def eval_cone_zeta(generators, forms, character=None, radius=400,
                    refine=2):
     """Numeric value of sum over interior(C) cap Z^m of chi(x)/prod l(x)
     by direct enumeration with Richardson extrapolation over the cut-off.
 
     Supports ambient dimension m <= DIRECT_MAX_DIM (sufficient as an oracle
-    for the bundled examples and tests); raises ValueError otherwise.
+    for the bundled examples and tests); raises ValueError otherwise.  The
+    character is evaluated over each whole grid at once from one exact
+    inverse of its basis; a basis that is not square or is singular, or a
+    grid point outside the character's lattice, raises ValueError.
     """
     from .geometry import Cone, LinearForm
 
@@ -240,47 +280,36 @@ def eval_cone_zeta(generators, forms, character=None, radius=400,
                          % DIRECT_MAX_DIM)
     fms = [f if isinstance(f, LinearForm) else LinearForm(f) for f in forms]
     C = Cone(gens)
-
-    def chi_val(x):
-        if character is None:
-            return 1.0
-        return complex(character.eval(list(x)).to_complex())
+    chi = None if character is None else _character_values(character, m)
 
     def partial(R):
         if m == 1:
             sgn = 1 if gens[0][0] > 0 else -1
-            total = 0j
-            for t in range(1, R + 1):
-                x = (sgn * t,)
-                total += chi_val(x) / math.prod(float(f(x)) for f in fms)
-            return total
-        # vectorized strict-interior enumeration on the [-R, R]^2 grid
-        normals = C.facet_normals()
-        if C.dim != 2 or not normals:
-            raise ValueError("cone must be full-dimensional and pointed")
-        rng = np.arange(-R, R + 1)
-        x1, x2 = np.meshgrid(rng, rng, indexing="ij")
-        mask = np.ones_like(x1, dtype=bool)
-        for nrm in normals:
-            # normals are covectors on span coordinates; in 2D full rank the
-            # span basis is the standard one up to an integer change; work
-            # through span_coords on the basis vectors
-            c1 = sum(float(a) * float(b) for a, b in
-                     zip(nrm, C.span_coords((1, 0))))
-            c2 = sum(float(a) * float(b) for a, b in
-                     zip(nrm, C.span_coords((0, 1))))
-            mask &= (c1 * x1 + c2 * x2) > 1e-9
-        vals = np.ones_like(x1, dtype=float)
+            X = sgn * np.arange(1, R + 1)[:, None]
+        else:
+            # vectorized strict-interior enumeration on the [-R, R]^2 grid
+            normals = C.facet_normals()
+            if C.dim != 2 or not normals:
+                raise ValueError("cone must be full-dimensional and pointed")
+            rng = np.arange(-R, R + 1)
+            x1, x2 = rng[:, None], rng[None, :]
+            mask = np.ones((rng.size, rng.size), dtype=bool)
+            for nrm in normals:
+                # normals are covectors on span coordinates; in 2D full rank
+                # the span basis is the standard one up to an integer change;
+                # work through span_coords on the basis vectors
+                c1 = sum(float(a) * float(b) for a, b in
+                         zip(nrm, C.span_coords((1, 0))))
+                c2 = sum(float(a) * float(b) for a, b in
+                         zip(nrm, C.span_coords((0, 1))))
+                mask &= (c1 * x1 + c2 * x2) > 1e-9
+            X = rng[np.argwhere(mask)]
+        den = np.ones(len(X))
         for f in fms:
-            vals *= (float(f.coeffs[0]) * x1 + float(f.coeffs[1]) * x2)
-        xs1 = x1[mask]
-        xs2 = x2[mask]
-        den = vals[mask]
-        if character is None:
+            den *= sum(float(c) * X[:, i] for i, c in enumerate(f.coeffs))
+        if chi is None:
             return complex(np.sum(1.0 / den))
-        ch = np.array([chi_val((int(a), int(b)))
-                       for a, b in zip(xs1, xs2)])
-        return complex(np.sum(ch / den))
+        return complex(np.sum(chi(X) / den))
 
     # three nested cutoffs with ratio 2, aligned to the character modulus so
     # oscillating partial sums are compared in phase; the tail decays like a

@@ -104,6 +104,17 @@ class TestMain:
         assert report["pass"] is True
         assert report["budgets"]["difference"] <= report["budgets"]["allowed"]
 
+    def test_verify_2d_with_character(self, tmp_path, capsys):
+        doc = {"ambientDim": 2,
+               "cone": {"generators": [[1, 0], [0, 1]]},
+               "forms": [[1, 1], [1, 1], [1, 1]],
+               "character": {"modulus": 2, "exponents": [1, 1]}}
+        path = write_job(tmp_path, doc)
+        assert main(["verify", path]) == EXIT_PASS
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True
+        assert report["budgets"]["difference"] <= report["budgets"]["allowed"]
+
     def test_unknown_field_exit_code(self, tmp_path, capsys):
         doc = zeta2_job()
         doc["extra"] = 1

@@ -5,14 +5,19 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conezeta import numeric
 from conezeta.exact import CycloNumber, RootOfUnity, LatticeCharacter
 from conezeta.geometry import LinearForm
+from conezeta.linalg import mat_det
 from conezeta.polylog import ZExpression
 from conezeta.rewrite import integral_expression
 from conezeta.numeric import (eval_mzv, eval_word, eval_zexpr,
                               zexpr_zero_check, eval_cone_zeta,
-                              quad_check, _tail_bound)
+                              quad_check, _tail_bound, _character_values)
 
 W0 = None
 W1 = RootOfUnity(1, 0)
@@ -219,6 +224,95 @@ class TestEvalConeZeta:
         r = eval_cone_zeta([[1, 0], [0, 1]], forms, radius=600)
         assert abs(r.value - ZETA3) < 1e-3
         assert abs(r.value - ZETA3) < r.error + 1e-6
+
+
+def reference_cone_zeta(generators, forms, chi, radius, refine=2):
+    """eval_cone_zeta computed point by point: an exact interior test from
+    the integer adjugate of the two generators, chi.eval at every point,
+    and the same cut-offs, summation order and extrapolation."""
+    (a, b), (c, d) = generators
+    det = a * d - b * c
+
+    def partial(R):
+        chis, dens = [], []
+        for x1 in range(-R, R + 1):
+            for x2 in range(-R, R + 1):
+                s, t = (x1 * d - x2 * c) * det, (a * x2 - b * x1) * det
+                if s <= 0 or t <= 0:
+                    continue
+                chis.append(complex(chi.eval([x1, x2]).to_complex()))
+                dens.append(math.prod(float(f0) * x1 + float(f1) * x2
+                                      for f0, f1 in forms))
+        return complex(np.sum(np.array(chis) / np.array(dens)))
+
+    mod = chi.modulus
+    u = max(refine * radius // (4 * mod), 1)
+    S1, S2, S3 = partial(u * mod), partial(2 * u * mod), partial(4 * u * mod)
+    d1, d2 = S3 - S2, S2 - S1
+    if abs(d2) > 0 and abs(d1) < 0.9 * abs(d2):
+        rho = d1 / d2
+        corr = d1 * rho / (1 - rho)
+        return S3 + corr, max(0.5 * abs(corr) + 1e-3 * abs(d1), 1e-12)
+    return S3, max(2.0 * (abs(d1) + abs(d2)), 1e-12)
+
+
+QUADRANT = [[1, 0], [0, 1]]
+IDENT = [[1, 0], [0, 1]]
+
+
+class TestCharacterGrid:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lookup_equals_per_point_eval(self, data):
+        m = data.draw(st.integers(1, 3))
+        entry = st.integers(-4, 4)
+        basis = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                   min_size=m, max_size=m))
+        assume(mat_det(basis) != 0)
+        N = data.draw(st.integers(1, 12))
+        exps = data.draw(st.lists(st.integers(-30, 30), min_size=m,
+                                  max_size=m))
+        chi = LatticeCharacter(basis, N, exps)
+        coords = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=m,
+                                             max_size=m),
+                                    min_size=1, max_size=8))
+        points = [[sum(ci * row[i] for ci, row in zip(cs, basis))
+                   for i in range(m)] for cs in coords]
+        got = _character_values(chi, m)(np.array(points, dtype=np.int64))
+        want = [complex(chi.eval(x).to_complex()) for x in points]
+        assert list(got) == want
+
+    @pytest.mark.parametrize("gens, forms, N, exps", [
+        (QUADRANT, [(1, 1)] * 3, 2, [1, 1]),
+        (QUADRANT, [(1, 0), (1, 0), (0, 1), (0, 1)], 3, [1, 2]),
+        (QUADRANT, [(1, 0), (0, 1), (1, 1)], 1, [0, 0]),
+        (QUADRANT, [(1, 0), (0, 1), (1, 1)], 4, [1, 1]),
+        ([[1, 0], [1, 1]], [(1, 0), (1, 1), (1, 1)], 1, [0, 0]),
+    ])
+    def test_verify_direct_shapes_match_per_point_loop(self, gens, forms,
+                                                       N, exps):
+        chi = LatticeCharacter(IDENT, N, exps)
+        r = eval_cone_zeta(gens, forms, chi, radius=50)
+        assert (r.value, r.error) == reference_cone_zeta(gens, forms, chi,
+                                                         50)
+
+    @pytest.mark.parametrize("basis", [[[1, 0]], [[1, 1], [2, 2]]])
+    def test_bad_basis_rejected_before_enumeration(self, basis,
+                                                   monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(numeric.np, "arange", no_grid)
+        chi = LatticeCharacter(basis, 2, [1] * len(basis))
+        with pytest.raises(ValueError):
+            eval_cone_zeta(QUADRANT, [(1, 0), (0, 1), (1, 1)], chi,
+                           radius=50)
+
+    def test_point_outside_the_lattice(self):
+        chi = LatticeCharacter([[2, 0], [0, 1]], 2, [1, 0])
+        with pytest.raises(ValueError, match="not in the lattice"):
+            eval_cone_zeta(QUADRANT, [(1, 0), (0, 1), (1, 1)], chi,
+                           radius=50)
 
 
 class TestQuadCheck:
