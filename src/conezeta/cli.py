@@ -39,15 +39,33 @@ class UnsupportedJob(Exception):
     """A valid job that the requested command cannot process."""
 
 
+def _is_int(x):
+    """A JSON integer: bool is a subclass of int, but not a number here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _expect_keys(obj, allowed, where):
+    if not isinstance(obj, dict):
+        raise ValidationError("%s must be a JSON object" % where)
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ValidationError("unknown fields in %s: %s"
                               % (where, sorted(unknown)))
 
 
+def _matrix_rows(rows, m, where):
+    """Rows of a nonempty matrix with m columns, each a JSON list."""
+    if not isinstance(rows, list) or not rows:
+        raise ValidationError("%s must be a nonempty matrix" % where)
+    for row in rows:
+        if not isinstance(row, list) or len(row) != m:
+            raise ValidationError("%s rows must be lists of length "
+                                  "ambientDim" % where)
+    return rows
+
+
 def _parse_rational(x, where):
-    if isinstance(x, int):
+    if _is_int(x):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -59,25 +77,18 @@ def _parse_rational(x, where):
 
 def parse_job(doc):
     """Validate a job document; returns a dict of parsed fields."""
-    if not isinstance(doc, dict):
-        raise ValidationError("job must be a JSON object")
     _expect_keys(doc, {"ambientDim", "cone", "forms", "character", "options"},
                  "job")
     for key in ("ambientDim", "cone", "forms"):
         if key not in doc:
             raise ValidationError("missing field %r" % key)
     m = doc["ambientDim"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValidationError("ambientDim must be a positive integer")
     cone = doc["cone"]
     _expect_keys(cone, {"generators"}, "cone")
-    gens = cone.get("generators")
-    if not isinstance(gens, list) or not gens:
-        raise ValidationError("cone.generators must be a nonempty matrix")
     parsed = []
-    for row in gens:
-        if len(row) != m:
-            raise ValidationError("generator arity != ambientDim")
+    for row in _matrix_rows(cone.get("generators"), m, "cone.generators"):
         out_row = []
         for x in row:
             q = _parse_rational(x, "cone.generators")
@@ -86,13 +97,8 @@ def parse_job(doc):
             out_row.append(int(q))
         parsed.append(out_row)
     gens = parsed
-    forms = doc["forms"]
-    if not isinstance(forms, list) or not forms:
-        raise ValidationError("forms must be a nonempty matrix")
     fms = []
-    for row in forms:
-        if len(row) != m:
-            raise ValidationError("form arity != ambientDim")
+    for row in _matrix_rows(doc["forms"], m, "forms"):
         fms.append(LinearForm([_parse_rational(x, "forms") for x in row]))
     warnings = []
     if "character" in doc and doc["character"] is not None:
@@ -100,22 +106,25 @@ def parse_job(doc):
         _expect_keys(ch, {"modulus", "exponents"}, "character")
         N = ch.get("modulus")
         exps = ch.get("exponents")
-        if not isinstance(N, int) or N < 1:
+        if not _is_int(N) or N < 1:
             raise ValidationError("character.modulus must be a positive "
                                   "integer")
-        if not isinstance(exps, list) or len(exps) != m:
-            raise ValidationError("character.exponents must have length "
-                                  "ambientDim")
+        if (not isinstance(exps, list) or len(exps) != m
+                or not all(_is_int(e) for e in exps)):
+            raise ValidationError("character.exponents must be ambientDim "
+                                  "integers")
         ident = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        character = LatticeCharacter(ident, N, [int(e) for e in exps])
+        character = LatticeCharacter(ident, N, exps)
     else:
         warnings.append("missing character; defaulting to trivial")
         character = None
-    options = doc.get("options") or {}
+    options = doc.get("options")
+    if options is None:
+        options = {}
     _expect_keys(options, {"precision", "trace", "seed", "maxPieces"},
                  "options")
     for key in ("precision", "seed", "maxPieces"):
-        if key in options and (not isinstance(options[key], int)
+        if key in options and (not _is_int(options[key])
                                or options[key] < 0):
             raise ValidationError("options.%s must be a nonnegative integer"
                                   % key)
@@ -212,7 +221,8 @@ def main(argv=None):
                     help="digits of verification tolerance (default 6)")
     ap.add_argument("--trace", default=None, metavar="PATH",
                     help="write the reduction trace to PATH")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=None,
+                    help="seed recorded in the report (default 0)")
     ap.add_argument("--max-pieces", type=int, default=None)
     args = ap.parse_args(argv)
 
@@ -229,7 +239,7 @@ def main(argv=None):
     precision = args.precision if args.precision is not None \
         else opts.get("precision")
     trace_path = args.trace if args.trace is not None else opts.get("trace")
-    seed = args.seed if args.seed != 0 else opts.get("seed", 0)
+    seed = args.seed if args.seed is not None else opts.get("seed", 0)
     max_pieces = args.max_pieces if args.max_pieces is not None \
         else opts.get("maxPieces")
     try:

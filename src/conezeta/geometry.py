@@ -10,15 +10,14 @@ from .linalg import (mat_det, mat_inverse, mat_rank, nullspace,
 
 def primitive_ray(v):
     """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    from math import gcd as _gcd
     v = [Fraction(x) for x in v]
     den = 1
     for x in v:
-        den = den * x.denominator // _gcd(den, x.denominator)
+        den = den * x.denominator // gcd(den, x.denominator)
     ints = [int(x * den) for x in v]
     g = 0
     for x in ints:
-        g = _gcd(g, abs(x))
+        g = gcd(g, abs(x))
     if g == 0:
         raise ValueError("zero vector is not a ray")
     return tuple(x // g for x in ints)
@@ -315,7 +314,7 @@ class SimplicialCone(Cone):
 # ---------------------------------------------------------------------------
 # triangulation and open decomposition
 
-def _pulling(rays, facet_fn):
+def _pulling(rays):
     """Pulling triangulation: join lex-first ray with facets avoiding it."""
     cone = Cone(rays)
     d = cone.dim
@@ -329,16 +328,23 @@ def _pulling(rays, facet_fn):
         if dot(n, pts[v0]) == 0:
             continue
         frays = [g for g in rays if dot(n, pts[g]) == 0]
-        for sub in _pulling(frays, facet_fn):
+        for sub in _pulling(frays):
             pieces.append(SimplicialCone([v0] + list(sub.generators)))
     return pieces
 
 
 def triangulate(C):
-    """Deterministic pulling triangulation into simplicial cones."""
+    """Deterministic pulling triangulation into simplicial cones.
+
+    A cone with independent generators is its own triangulation; its
+    generators are its extreme rays, so no facet search is needed.
+    """
+    if len(C.generators) == C.dim:
+        return [SimplicialCone(sorted(map(primitive_ray, C.generators),
+                                      key=_lex_key))]
     if not C.is_pointed():
         raise ValueError("cone contains a line; only pointed cones are supported")
-    return _pulling(list(C.generators), None)
+    return _pulling(list(C.generators))
 
 
 def open_simplicial_decomposition(C):
@@ -425,16 +431,23 @@ def extreme_rays_from_inequalities(ineqs, d):
 
 
 def _chambers(C, forms):
-    """Full-dimensional chambers of C cut by the hyperplanes {form = 0}."""
+    """Full-dimensional chambers of C cut by the hyperplanes {form = 0}.
+
+    Only classes that change sign on the generators can cut C: on the
+    opposite side of a one-signed class lies at most a face of C.
+    """
     d = C.dim
     if d != C.ambient_dim:
         raise ValueError("refine_definite expects a full-dimensional cone")
-    base = list(C.facet_normals()) if d > 1 else []
-    if d == 1:
+    classes = sorted({f.class_key() for f in forms})
+    classes = [cls for cls in classes
+               if any(dot(cls, g) > 0 for g in C.generators)
+               and any(dot(cls, g) < 0 for g in C.generators)]
+    if d == 1 or not classes:
         return [Cone(C.generators)]
+    base = list(C.facet_normals())
     chambers = []
     seen = set()
-    classes = sorted({f.class_key() for f in forms})
     for signs in itertools.product((1, -1), repeat=len(classes)):
         ineqs = base + [tuple(s * x for x in cls)
                         for s, cls in zip(signs, classes)]
@@ -453,7 +466,6 @@ def _admissible_interior_ray(delta, forms):
     """Deterministic interior ray where no form class vanishes."""
     gens = delta.generators
     base = [sum(col) for col in zip(*gens)]
-    candidates = [tuple(base)]
 
     def ok(w):
         return all(f(w) != 0 for f in forms)

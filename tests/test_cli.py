@@ -85,6 +85,22 @@ class TestParseJob:
             parse_job(doc)
 
 
+# One malformed shape per entry: each edits a valid job document in place.
+MALFORMED = {
+    "cone_is_list": lambda d: d.update(cone=[[1]]),
+    "generator_row_not_list": lambda d: d["cone"].update(generators=[1]),
+    "form_row_not_list": lambda d: d.update(forms=[1, 1]),
+    "character_not_object": lambda d: d.update(character=[2, [1]]),
+    "options_not_object": lambda d: d.update(options=["seed"]),
+    "fractional_exponent": lambda d: d["character"].update(exponents=[1.7]),
+    "string_exponent": lambda d: d["character"].update(exponents=["1"]),
+    "bool_ambient_dim": lambda d: d.update(ambientDim=True),
+    "bool_modulus": lambda d: d["character"].update(modulus=True),
+    "bool_form_entry": lambda d: d.update(forms=[[True], [1]]),
+    "bool_seed": lambda d: d.update(options={"seed": False}),
+}
+
+
 class TestMain:
     def test_reduce_exit_zero(self, tmp_path, capsys):
         path = write_job(tmp_path, zeta2_job())
@@ -121,6 +137,24 @@ class TestMain:
         path = write_job(tmp_path, doc)
         assert main(["reduce", path]) == EXIT_VALIDATION
         assert json.loads(capsys.readouterr().out)["error"] == "VALIDATION"
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_malformed_job_is_validation_error(self, tmp_path, capsys,
+                                               shape):
+        doc = zeta2_job()
+        MALFORMED[shape](doc)
+        path = write_job(tmp_path, doc)
+        assert main(["reduce", path]) == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().out)["error"] == "VALIDATION"
+
+    def test_seed_flag_zero_overrides_job_seed(self, tmp_path, capsys):
+        doc = zeta2_job()
+        doc["options"] = {"seed": 5}
+        path = write_job(tmp_path, doc)
+        assert main(["reduce", path, "--seed", "0"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+        assert main(["reduce", path]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
 
     def test_divergent_exit_code(self, tmp_path, capsys):
         doc = zeta2_job()

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from conezeta import geometry
 from conezeta.geometry import (Cone, SimplicialCone, Lattice, LinearForm,
                                triangulate, open_simplicial_decomposition,
-                               free_superlattice, standard_lattice)
+                               free_superlattice, standard_lattice,
+                               refine_definite, dot, _pulling,
+                               extreme_rays_from_inequalities)
+from conezeta.linalg import mat_rank
 
 
 class TestCone:
@@ -96,3 +100,122 @@ class TestFreeSuperlattice:
                 continue
             c = solve_consistent(cols, list(map(Fraction, x)))
             assert all(v.denominator == 1 and v >= 1 for v in c)
+
+
+# Reference: the exhaustive chamber search over every sign pattern of every
+# form class, and the facet-based triangulation of every cone.
+
+def _reference_chambers(C, forms):
+    d = C.dim
+    if d != C.ambient_dim:
+        raise ValueError("refine_definite expects a full-dimensional cone")
+    base = list(C.facet_normals()) if d > 1 else []
+    if d == 1:
+        return [Cone(C.generators)]
+    chambers = []
+    seen = set()
+    classes = sorted({f.class_key() for f in forms})
+    for signs in itertools.product((1, -1), repeat=len(classes)):
+        ineqs = base + [tuple(s * x for x in cls)
+                        for s, cls in zip(signs, classes)]
+        rays = extreme_rays_from_inequalities(ineqs, d)
+        if len(rays) < d or mat_rank(rays) < d:
+            continue
+        key = tuple(sorted(rays))
+        if key in seen:
+            continue
+        seen.add(key)
+        chambers.append(Cone(rays))
+    return chambers
+
+
+def _reference_triangulate(C):
+    if not C.is_pointed():
+        raise ValueError("cone contains a line")
+    return _pulling(list(C.generators))
+
+
+def _random_cone(rnd, d):
+    """Full-dimensional pointed cone in the open half-space x_d > 0."""
+    while True:
+        n = d if rnd.random() < 0.5 else d + 1
+        gens = [tuple(rnd.randint(-2, 2) for _ in range(d - 1))
+                + (rnd.randint(1, 3),) for _ in range(n)]
+        C = Cone(gens)
+        if C.dim == d and len(C.extreme_rays()) == len(C.generators):
+            return C
+
+
+def _random_forms(rnd, C):
+    """1-2 classes that change sign on C, mixed with up to 2 one-signed;
+    None if 200 draws do not find them (a narrow cone)."""
+    cutting, definite = [], []
+    for _ in range(200):
+        f = [rnd.randint(-3, 3) for _ in range(C.ambient_dim)]
+        vals = [dot(f, g) for g in C.generators]
+        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+            cutting.append(f)
+        elif any(vals):
+            definite.append(f)
+        if len(cutting) >= 2 and len(definite) >= 2:
+            break
+    else:
+        return None
+    forms = cutting[:rnd.randint(1, 2)] + definite[:rnd.randint(0, 2)]
+    rnd.shuffle(forms)
+    return [LinearForm(f) if rnd.random() < 0.5 else tuple(f) for f in forms]
+
+
+def _pieces(C, forms):
+    return [(delta.generators, drop)
+            for delta, drop in refine_definite(C, forms)]
+
+
+class TestRefineDefinite:
+    def test_pruned_search_matches_exhaustive_reference(self, monkeypatch):
+        rnd = random.Random(2026)
+        cases = []
+        while len(cases) < 40:
+            C = _random_cone(rnd, rnd.choice((2, 3, 3, 3, 4)))
+            forms = _random_forms(rnd, C)
+            if forms is not None:
+                cases.append((C, forms))
+        got = [_pieces(C, forms) for C, forms in cases]
+        chambers = []
+
+        def recording_chambers(C, forms):
+            out = _reference_chambers(C, forms)
+            chambers.extend(out)
+            return out
+
+        monkeypatch.setattr(geometry, "_chambers", recording_chambers)
+        monkeypatch.setattr(geometry, "triangulate", _reference_triangulate)
+        for (C, forms), pieces in zip(cases, got):
+            assert pieces == _pieces(C, forms), (C, forms)
+        assert sum(len(ch.generators) > ch.dim for ch in chambers) >= 20
+
+    def test_one_signed_forms_leave_the_cone_whole(self):
+        C = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        forms = [(1, 0, 0), (1, 1, 0), (-1, -2, 0), (1, 1, 1)]
+        assert [ch.generators for ch in geometry._chambers(
+            C, [LinearForm(f) for f in forms])] == [C.generators]
+        assert _pieces(C, forms) == [(((0, 0, 1), (0, 1, 0), (1, 0, 0)), 0)]
+
+
+class TestTriangulateIndependent:
+    def test_equals_pulling(self):
+        rnd = random.Random(5)
+        for _ in range(40):
+            d = rnd.randint(1, 4)
+            gens = [tuple(rnd.randint(-3, 3) for _ in range(d))
+                    for _ in range(d)]
+            if mat_rank(gens) < d:
+                continue
+            scales = [rnd.randint(1, 3) for _ in gens]
+            scaled = [tuple(t * x for x in g) for t, g in zip(scales, gens)]
+            fractional = [tuple(Fraction(x, t) for x in g)
+                          for t, g in zip(scales, gens)]
+            expected = [t.generators for t in _pulling(gens)]
+            for C in (Cone(fractional),
+                      SimplicialCone(scaled, normalize=False)):
+                assert [t.generators for t in triangulate(C)] == expected
