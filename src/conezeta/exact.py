@@ -7,8 +7,6 @@ from math import gcd
 
 from .linalg import solve_consistent
 
-Rational = Fraction
-
 
 def rational_to_str(q):
     q = Fraction(q)
@@ -99,6 +97,18 @@ def _cyclo(N, coords):
 
 def euler_phi(N):
     return len(cyclotomic_poly(N)) - 1
+
+
+@lru_cache(maxsize=None)
+def _mean_traces(N):
+    """Mean of the conjugates of zeta_N^j for j < phi(N): mu(n)/phi(n) with
+    n = N/gcd(N, j), where mu(n), the sum of the primitive n-th roots of
+    unity, is minus the second-highest coefficient of Phi_n."""
+    out = []
+    for j in range(euler_phi(N)):
+        n = N // gcd(N, j)
+        out.append(Fraction(-cyclotomic_poly(n)[-2], euler_phi(n)))
+    return tuple(out)
 
 
 class CycloNumber:
@@ -272,10 +282,11 @@ class CycloNumber:
         return a.coords == b.coords
 
     def __hash__(self):
-        # hash via canonical embedding at own modulus; rationals hash equal
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.N, self.coords))
+        # the mean of the conjugates (trace over phi(N)) is the same in
+        # every field Q(zeta_M) containing the number, so equal numbers
+        # hash equal; a rational is its own mean
+        return hash(sum(c * t for c, t in zip(self.coords,
+                                              _mean_traces(self.N))))
 
     def to_complex(self):
         z = cmath.exp(2j * cmath.pi / self.N)

@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import (mat_det, mat_inverse, mat_rank, nullspace,
                      primitive_int_vector, smith_normal_form, solve_consistent)
@@ -81,14 +81,6 @@ class Lattice:
             return False
         return all(Fraction(v).denominator == 1 for v in c)
 
-    def index_over(self, sub):
-        """Index [self : sub] for a finite-index sublattice."""
-        M = [self.coords_of(b) for b in sub.basis]
-        d = abs(mat_det(M))
-        if d == 0:
-            raise ValueError("not finite index")
-        return d
-
     def __repr__(self):
         return "Lattice(%s)" % (list(map(list, self.basis)),)
 
@@ -99,7 +91,10 @@ def standard_lattice(m):
 
 def span_integer_lattice(generators):
     """Lattice Z^m intersected with the rational span of the generators."""
-    gens = [list(map(int, g)) for g in generators]
+    gens = []
+    for g in generators:  # int or Fraction entries; scaling keeps the span
+        den = lcm(*(x.denominator for x in g))
+        gens.append([int(x * den) for x in g])
     m = len(gens[0])
     r = mat_rank(gens)
     if r == m:
@@ -264,14 +259,6 @@ class SimplicialCone(Cone):
         self._facets = None
         self._rays = None
 
-    def facet(self, drop):
-        """Facet obtained by dropping generator index `drop`."""
-        return SimplicialCone([g for i, g in enumerate(self.generators)
-                               if i != drop])
-
-    def face(self, index_set):
-        return SimplicialCone([self.generators[i] for i in sorted(index_set)])
-
     def contains(self, x):
         # barycentric test: coordinates in the generator basis must be >= 0
         try:
@@ -384,14 +371,12 @@ def free_superlattice(delta, L):
     prims = []
     for g in delta.generators:
         c = L.coords_of(g)
-        lcm = 1
-        for v in c:
-            lcm = lcm * Fraction(v).denominator // gcd(lcm, Fraction(v).denominator)
-        nums = [int(Fraction(v) * lcm) for v in c]
+        den = lcm(*(Fraction(v).denominator for v in c))
+        nums = [int(Fraction(v) * den) for v in c]
         gg = 0
         for x in nums:
             gg = gcd(gg, abs(x))
-        t = Fraction(lcm, gg)  # minimal t > 0 with t*g in L
+        t = Fraction(den, gg)  # minimal t > 0 with t*g in L
         prims.append([t * Fraction(x) for x in g])
     M = [L.coords_of(p) for p in prims]
     kappa = abs(mat_det(M))

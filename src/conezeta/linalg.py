@@ -14,10 +14,6 @@ def mat_mul(A, B):
             for i in range(n)]
 
 
-def mat_vec(A, v):
-    return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
-
-
 def identity(n, one=1):
     return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
 

@@ -180,41 +180,36 @@ def eval_mzv(ks, eps, terms=2_000_000):
     return EvalResult((-1) ** m * total, err)
 
 
-def eval_symbol(sym, terms=2_000_000):
-    return eval_mzv(sym.ks, sym.eps, terms)
-
-
-def eval_word(word, terms=2_000_000):
+def eval_word(word):
     """Numeric value of a convergent iterated-integral word at 1."""
     if not word:
         return EvalResult(1.0, 0.0)
     root, sym = mzv_symbol_from_word(word)
-    r = eval_symbol(sym, terms)
+    r = eval_mzv(sym.ks, sym.eps)
     c = complex(root.to_complex())
     return EvalResult(c * r.value, r.error)
 
 
-def eval_zexpr(zx, terms=2_000_000):
-    """Numeric value of a ZExpression: every word goes through eval_mzv
-    (`terms` caps its series lengths), and the error is the sum of the
-    word errors weighted by the moduli of their coefficients."""
+def eval_zexpr(zx):
+    """Numeric value of a ZExpression: every word goes through eval_mzv,
+    and the error is the sum of the word errors weighted by the moduli of
+    their coefficients."""
     total = 0j
     err = 0.0
     for w, c in zx.terms.items():
-        r = eval_word(w, terms)
+        r = eval_word(w)
         cc = complex(c.to_complex())
         total += cc * r.value
         err += abs(cc) * r.error
     return EvalResult(total, err)
 
 
-def zexpr_zero_check(tol=1e-8, terms=500_000):
+def zexpr_zero_check(tol=1e-8):
     """Callback deciding whether a ZExpression vanishes numerically: its
-    eval_zexpr value (series capped at `terms`) has modulus at most
-    max(tol, 4 * error).  The error of an uncapped evaluation is far below
-    1e-8, so `tol` decides."""
+    eval_zexpr value has modulus at most max(tol, 4 * error).  That error
+    is far below 1e-8, so `tol` decides."""
     def check(zx):
-        r = eval_zexpr(zx, terms)
+        r = eval_zexpr(zx)
         return abs(r.value) <= max(tol, 4 * r.error)
     return check
 
@@ -364,12 +359,12 @@ def quad_check(I, maxdegree=9):
 
 
 def verify_reduction(result, generators, forms, character=None,
-                     tolerance=1e-6, terms=2_000_000, radius=400):
+                     tolerance=1e-6, radius=400):
     """Compare a ReductionResult against direct numeric evaluation.
 
     Returns a dict with both values, the difference, and a pass flag.
     """
-    sym = eval_zexpr(result.value, terms)
+    sym = eval_zexpr(result.value)
     ref = eval_cone_zeta(generators, forms, character, radius=radius)
     diff = abs(sym.value - ref.value)
     budget = max(tolerance, 4 * (sym.error + ref.error))

@@ -11,10 +11,10 @@ limits at y=1 of the normal forms are computed through germ expansions in
 powers of s = 1-y and T = -log(1-y).
 """
 
-import itertools
 from fractions import Fraction
+from functools import lru_cache
 
-from .exact import CycloNumber, RootOfUnity, ONE_ROOT, nth_roots
+from .exact import CycloNumber, ONE_ROOT, nth_roots
 
 ONE = CycloNumber.from_rational(1, 1)
 ZERO = CycloNumber.from_rational(0, 1)
@@ -146,9 +146,6 @@ class ZExpression:
     def is_zero(self):
         return all(c.is_zero() for c in self.terms.values())
 
-    def constant_part(self):
-        return self.terms.get((), ZERO)
-
     def weight(self):
         return max((len(w) for w in self.terms), default=0)
 
@@ -182,9 +179,6 @@ class MZVSymbol:
         self.eps = tuple(eps)
         if len(self.ks) != len(self.eps):
             raise ValueError("depth mismatch")
-
-    def is_convergent(self):
-        return not self.ks or self.ks[-1] != 1 or not self.eps[-1].is_one()
 
     def weight(self):
         return sum(self.ks)
@@ -294,15 +288,10 @@ class PNormalForm:
         return "PNormalForm(%d terms)" % len(self.terms)
 
 
-_PF_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _pf_pair(a, p, b, q):
     """Partial fractions of (1-a*y)^(-p) (1-b*y)^(-q) for distinct roots:
     dict (root, m) -> CycloNumber."""
-    key = (a, p, b, q)
-    if key in _PF_CACHE:
-        return _PF_CACHE[key]
     if p == 0:
         out = {(b, q): ONE}
     elif q == 0:
@@ -318,7 +307,6 @@ def _pf_pair(a, p, b, q):
             out[(r, m)] = out.get((r, m), ZERO) + A * c
         for (r, m), c in _pf_pair(a, p - 1, b, q).items():
             out[(r, m)] = out.get((r, m), ZERO) + B * c
-    _PF_CACHE[key] = out
     return out
 
 
@@ -386,7 +374,7 @@ def multiply_factor(pnf, root, c, mu, s):
     """
     roots = nth_roots(root, c) if mu >= 1 else []
     out = PNormalForm()
-    rs = _root_pow_cyclo(root, s)
+    rs = (root ** s).to_cyclo()
     for ((e, m), word), coeff in pnf.terms.items():
         poles = {}
         if m:
@@ -400,10 +388,6 @@ def multiply_factor(pnf, root, c, mu, s):
                 out._add_term((r2, m2) if m2 else (None, 0), word,
                               coeff2 * (c1 * c2))
     return out
-
-
-def _root_pow_cyclo(root, k):
-    return (root ** k).to_cyclo()
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +404,12 @@ def integrate_P(pnf, kernel=("t",), check_zero=None):
     if kernel[0] == "t":
         residual = ZExpression.zero()
         for ((e, m), word), coeff in pnf.terms.items():
-            if m == 0:
-                if word:
-                    out._add_term((None, 0), (W0,) + word, coeff)
-                else:
-                    residual = residual + coeff
+            if word:
+                out._add_term((None, 0), (W0,) + word, coeff)
             else:
+                residual = residual + coeff
+            if m:
                 # 1/(t(1-et)^m) = 1/t + sum_{i<=m} e/(1-et)^i
-                if word:
-                    out._add_term((None, 0), (W0,) + word, coeff)
-                else:
-                    residual = residual + coeff
                 ec = e.to_cyclo()
                 for i in range(1, m + 1):
                     part = _int_pole(e, i, word)
@@ -531,15 +510,10 @@ def pnf_value(pnf, y, nterms=4000, zeval=None):
 # ---------------------------------------------------------------------------
 # germs at y = 1 and regularized limits
 
-_REG_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def word_regularization(word):
     """Shuffle-regularized expansion of I(y; word) at y=1: dict T-power ->
-    ZExpression, where T = -log(1-y)."""
-    word = tuple(word)
-    if word in _REG_CACHE:
-        return _REG_CACHE[word]
+    ZExpression, where T = -log(1-y).  `word` is a tuple."""
     if word_is_convergent(word):
         out = {0: ZExpression.from_word(word)} if word else {0: ZExpression.one()}
     else:
@@ -559,43 +533,44 @@ def word_regularization(word):
                 acc[i] = acc.get(i, ZExpression.zero()) - c.scale(mult)
         out = {i: c.scale(Fraction(1, a)) for i, c in acc.items()
                if not c.is_zero()}
-    _REG_CACHE[word] = out
     return out
 
 
-def _kernel_germ(letter, order):
-    """Series in s of the kernel at y = 1-s: dict s-power -> CycloNumber."""
-    if letter is None:
-        return {t: ONE for t in range(order + 1)}
-    if letter.is_one():
-        return {-1: ONE}
-    ec = letter.to_cyclo()
+@lru_cache(maxsize=None)
+def _pole_germ(e, m, order):
+    """Series in s of (1 - e*y)^(-m) at y = 1-s: dict s-power ->
+    CycloNumber, with s-powers up to `order` (a single s^(-m) when e = 1)."""
+    if m == 0:
+        return {0: ONE}
+    if e.is_one():
+        return {-m: ONE}
+    ec = e.to_cyclo()
     inv = (ONE - ec).inverse()
+    base = ONE
+    for _ in range(m):
+        base = base * inv
     out = {}
-    cur = inv
+    cur = base
     ratio = -(ec * inv)
     for t in range(order + 1):
         out[t] = cur
-        cur = cur * ratio
+        # binomial(m+t, t+1)/binomial(m-1+t, t) = (m+t)/(t+1)
+        cur = cur * ratio * CycloNumber.from_rational(
+            Fraction(m + t, t + 1), 1)
     return out
 
 
-_GERM_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def word_germ(word, order):
     """Germ of I(y; word) at y=1: dict (s-power, T-power) -> ZExpression,
-    with s-powers 0..order and exact T-polynomial part."""
-    word = tuple(word)
-    key = (word, order)
-    if key in _GERM_CACHE:
-        return _GERM_CACHE[key]
+    with s-powers 0..order and exact T-polynomial part.  `word` is a
+    tuple."""
     if not word:
-        out = {(0, 0): ZExpression.one()}
-        _GERM_CACHE[key] = out
-        return out
+        return {(0, 0): ZExpression.one()}
     sub = word_germ(word[1:], order + 1)
-    ker = _kernel_germ(word[0], order + 1)
+    # the kernel at y = 1-s: dt/t or dt/(1-e*t)
+    ker = ({t: ONE for t in range(order + 2)} if word[0] is None
+           else _pole_germ(word[0], 1, order + 1))
     # dF/ds = -kernel(s) * sub(s)
     deriv = {}
     for (a1, i), c in sub.items():
@@ -629,7 +604,6 @@ def word_germ(word, order):
     if reg0 is not None and not reg0.is_zero():
         out[(0, 0)] = out.get((0, 0), ZExpression.zero()) + reg0
     out = {k: v for k, v in out.items() if not v.is_zero()}
-    _GERM_CACHE[key] = out
     return out
 
 
@@ -663,26 +637,8 @@ def regularize_limit(pnf, check_zero=None):
             J = max(J, m)
     layers = {}
     for ((e, m), word), coeff in pnf.terms.items():
-        germ = word_germ(word, J)
-        if m == 0:
-            pole = {0: ONE}
-        elif e.is_one():
-            pole = {-m: ONE}
-        else:
-            ec = e.to_cyclo()
-            inv = (ONE - ec).inverse()
-            base = ONE
-            for _ in range(m):
-                base = base * inv
-            pole = {}
-            cur = base
-            ratio = -(ec * inv)
-            for t in range(J + 1):
-                pole[t] = cur
-                # binomial(m+t, t+1)/binomial(m-1+t, t) = (m+t)/(t+1)
-                cur = cur * ratio * CycloNumber.from_rational(
-                    Fraction(m + t, t + 1), 1)
-        for (a1, i), c in germ.items():
+        pole = _pole_germ(e, m, J)
+        for (a1, i), c in word_germ(word, J).items():
             for a2, k in pole.items():
                 a = a1 + a2
                 if a > 0:

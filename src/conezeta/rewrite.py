@@ -65,11 +65,6 @@ class FactorTerm:
     def key(self):
         return (self.leading(), self.exps, self.root.sort_key(), self.mu, self.s)
 
-    def with_exps(self, exps, mu=None, s=None):
-        return FactorTerm(self.root, exps,
-                          self.mu if mu is None else mu,
-                          self.s if s is None else s)
-
     def __eq__(self, other):
         return (isinstance(other, FactorTerm) and self.root == other.root
                 and self.exps == other.exps and self.mu == other.mu
@@ -156,14 +151,10 @@ def factor_series(f, maxdeg):
             coef = CycloNumber.from_rational(b, 1)
         power = f.s + t
         exps = tuple(x * power for x in f.exps)
-        rc = coef * _root_power_cyclo(f.root, power)
+        rc = coef * (f.root ** power).to_cyclo()
         out[exps] = out.get(exps, CycloNumber.from_rational(0, 1)) + rc
         t += 1
     return out
-
-
-def _root_power_cyclo(root, k):
-    return (root ** k).to_cyclo()
 
 
 def _series_mul(a, b, maxdeg):
@@ -458,38 +449,48 @@ def uni_factorize(I, D=None, trace=None):
     variable (pure monomial factors are exempt).  Lowest level first, then the
     lexicographically smallest clashing pair.
     """
-    work = []
-    for c0, fl in _split_leading(I.coeff, list(I.factors), trace):
-        work.append((c0, fl))
+    work = _split_leading(I.coeff, list(I.factors), trace)
+    return [Integrand(c, fl, I.nvars, tag="U")
+            for c, fl in _pair_reduce(work, None, trace)]
+
+
+def _pair_reduce(work, slot, trace=None):
+    """Normalize each (coeff, [factors]) term of `work` and pair-reduce its
+    clashing poles until no two pole factors share a leading variable
+    (slot None), or until at most one leads at `slot`.  The clash taken is
+    the first adjacent pair of key-sorted poles: the key starts with the
+    leading variable.  Returns a list of (coeff, [factors])."""
     done = []
+    # pairing can cycle (the known-defect job k2_slot of perfbench/NOTES.md)
     fuel = 100000
     while work:
         fuel -= 1
         if fuel < 0:
-            raise RuntimeError("uni-factorization did not terminate")
-        coeff, factors = work.pop()
-        for c0, fl in normalize_term(coeff, factors):
-            poles = sorted([f for f in fl if f.mu >= 1], key=lambda f: f.key())
-            clash = None
-            for a, b in itertools.combinations(poles, 2):
-                if a.leading() == b.leading():
-                    clash = (a, b)
-                    break
+            raise RuntimeError("pair reduction did not terminate")
+        c, fl = work.pop()
+        for c0, fl0 in normalize_term(c, fl):
+            if slot is not None and any(f.mu == 0 and f.leading() == slot
+                                        for f in fl0):
+                raise AssertionError("monomial factor at an integrated slot")
+            poles = sorted((f for f in fl0 if f.mu >= 1 and
+                            (slot is None or f.leading() == slot)),
+                           key=FactorTerm.key)
+            clash = next(((a, b) for a, b in zip(poles, poles[1:])
+                          if a.leading() == b.leading()), None)
             if clash is None:
-                done.append(Integrand(c0, fl, I.nvars, tag="U"))
+                done.append((c0, fl0))
                 continue
             a, b = clash
             repl = partial_fraction_pair(a, b)
             if trace is not None:
                 trace.record("partial_fraction_pair", (a, b), repl)
-            rest = list(fl)
+            rest = list(fl0)
             rest.remove(a)
             rest.remove(b)
             for c1, new in repl:
                 # a fresh delta factor may be a c-th power of a primitive
                 # monomial; split it before further pairing
-                for c2, fl2 in _split_leading(c0 * c1, rest + new, trace):
-                    work.append((c2, fl2))
+                work.extend(_split_leading(c0 * c1, rest + new, trace))
     return done
 
 
@@ -526,7 +527,9 @@ TRACEABLE_RULES = {
 # Objects track an ordered tuple of coordinate ids; the first `weight`
 # positions are integrated over (0,1) with dy/y measure, the rest are free.
 # A simple object has at most one pole factor per integrated slot, each with
-# mu = 1 and s = 1, and no factors leading at free slots.
+# mu = 1 and s = 1, and no factors leading at free slots.  reduce_A,
+# _integrate_slot and reduce_B recurse only on objects of strictly smaller
+# weight, so the recursion terminates.
 
 class UFObject:
     """Partially integrated product of factors."""
@@ -586,7 +589,7 @@ def _restrict_object(coeff, obj, cid):
             if f.root.is_one():
                 raise AssertionError("pole at 1 in a face restriction")
             rc = f.root.to_cyclo()
-            val = _root_power_cyclo(f.root, f.s)
+            val = (f.root ** f.s).to_cyclo()
             den = (ONE - rc)
             for _ in range(f.mu):
                 val = val * den.inverse()
@@ -615,38 +618,7 @@ def _with_factor(obj, f, coords):
     return UFObject(obj.coords, obj.factors + (g,), obj.weight)
 
 
-def _resolve_slot(coeff, factors, slot, trace=None):
-    """Normalize a factor list and pair-reduce until at most one pole factor
-    leads at `slot`.  Returns a list of (coeff, [factors])."""
-    work = [(coeff, list(factors))]
-    done = []
-    fuel = 100000
-    while work:
-        fuel -= 1
-        if fuel < 0:
-            raise RuntimeError("slot resolution did not terminate")
-        c, fl = work.pop()
-        for c0, fl0 in normalize_term(c, fl):
-            if any(f.mu == 0 and f.leading() == slot for f in fl0):
-                raise AssertionError("monomial factor at an integrated slot")
-            poles = [f for f in fl0 if f.mu >= 1 and f.leading() == slot]
-            if len(poles) <= 1:
-                done.append((c0, fl0))
-                continue
-            a, b = sorted(poles, key=lambda f: f.key())[:2]
-            repl = partial_fraction_pair(a, b)
-            if trace is not None:
-                trace.record("partial_fraction_pair", (a, b), repl)
-            rest = list(fl0)
-            rest.remove(a)
-            rest.remove(b)
-            for c1, new in repl:
-                for c2, fl2 in _split_leading(c0 * c1, rest + new, trace):
-                    work.append((c2, fl2))
-    return done
-
-
-def reduce_A(coords, factors, w, trace=None, _fuel=None):
+def reduce_A(coords, factors, w, trace=None):
     """Express the integral over the first w coordinates of prod(factors) as
     sum coeff * M * h with M a list of factors leading at free slots and h a
     simple object of weight <= w.
@@ -654,11 +626,6 @@ def reduce_A(coords, factors, w, trace=None, _fuel=None):
     Returns a list of (coeff, M, h): M factors are given on `coords`, the
     simple object h on its own (possibly smaller) coordinate tuple.
     """
-    if _fuel is None:
-        _fuel = [20000]
-    _fuel[0] -= 1
-    if _fuel[0] < 0:
-        raise RuntimeError("weight reduction did not terminate")
     if w == 0:
         h = UFObject(coords, (), 0)
         return [(ONE, list(factors), h)]
@@ -668,21 +635,21 @@ def reduce_A(coords, factors, w, trace=None, _fuel=None):
     low = [f for f in factors if f.leading() < slot]
     slotf = [f for f in factors if f.leading() == slot]
     high = [f for f in factors if f.leading() > slot]
-    for c1, M1, h in reduce_A(coords, low, w - 1, trace, _fuel):
+    for c1, M1, h in reduce_A(coords, low, w - 1, trace):
         slot_parts = slotf + [m for m in M1 if m.leading() == slot]
         high1 = high + [m for m in M1 if m.leading() > slot]
-        for c2, fl2 in _resolve_slot(ONE, slot_parts, slot, trace):
+        for c2, fl2 in _pair_reduce([(ONE, slot_parts)], slot, trace):
             poles = [f for f in fl2 if f.leading() == slot]
             Mh = high1 + [f for f in fl2 if f.leading() > slot]
             coef = c1 * c2
             P = poles[0] if poles else None
             for c3, M3, h3 in _integrate_slot(coords, P, h, cid, slot,
-                                              trace, _fuel):
+                                              trace):
                 out.append((coef * c3, Mh + M3, h3))
     return out
 
 
-def _integrate_slot(coords, P, h, cid, slot, trace, _fuel):
+def _integrate_slot(coords, P, h, cid, slot, trace):
     """Integrate (0,1) in y_cid of P(y) * h(y, frees) dy/y.
 
     P is the unique pole factor leading at `slot` on `coords` (or None); h is
@@ -711,12 +678,12 @@ def _integrate_slot(coords, P, h, cid, slot, trace, _fuel):
         Mt = FactorTerm(P.root, p_exps, t, 1)
         out.append((inv * bc, [Mt], hb))
     # derivative term: -1/(nu-1) * sum_t int u/(1-u)^t (y d/dy h) dy/y
-    for cD, obj in reduce_B(h, cid, trace, _fuel):
+    for cD, obj in reduce_B(h, cid, trace):
         for t in range(1, nu):
             Pt = FactorTerm(P.root, P.exps, t, 1)
             ext = _extend_weight(_with_factor(obj, Pt, coords), cid)
             for c3, M3, h3 in reduce_A(ext.coords, list(ext.factors),
-                                       ext.weight, trace, _fuel):
+                                       ext.weight, trace):
                 M3e = [FactorTerm(m.root,
                                   _embed_exps(m.exps, ext.coords, coords),
                                   m.mu, m.s) for m in M3]
@@ -724,16 +691,11 @@ def _integrate_slot(coords, P, h, cid, slot, trace, _fuel):
     return out
 
 
-def reduce_B(h, vid, trace=None, _fuel=None):
+def reduce_B(h, vid, trace=None):
     """Differential y_vid * d/dy_vid of a simple object h, for a free
     coordinate vid.  Returns a list of (coeff, UFObject) of weight < h.weight
     representing the derivative.
     """
-    if _fuel is None:
-        _fuel = [20000]
-    _fuel[0] -= 1
-    if _fuel[0] < 0:
-        raise RuntimeError("differentiation did not terminate")
     w = h.weight
     if w == 0:
         return []
@@ -744,12 +706,12 @@ def reduce_B(h, vid, trace=None, _fuel=None):
                  w - 1)
     out = []
     if not L:
-        for c, obj in reduce_B(g, vid, trace, _fuel):
+        for c, obj in reduce_B(g, vid, trace):
             out.append((c, _extend_weight(obj, cid)))
         return out
     L = L[0]
     vpos = h.coords.index(vid)
-    for c, obj in reduce_B(g, vid, trace, _fuel):
+    for c, obj in reduce_B(g, vid, trace):
         out.append((c, _extend_weight(_with_factor(obj, L, h.coords), cid)))
     cexp = L.exps[vpos]
     if cexp != 0:
@@ -766,7 +728,7 @@ def reduce_B(h, vid, trace=None, _fuel=None):
         out.append((cc * bcoef,
                     UFObject(gb.coords, gb.factors + (Lb,), gb.weight)))
         # minus int c*u/(1-u) (y_cid d/dy_cid g) dy/y
-        for cD, obj in reduce_B(g, cid, trace, _fuel):
+        for cD, obj in reduce_B(g, cid, trace):
             out.append((-cc * cD,
                         _extend_weight(_with_factor(obj, L, h.coords), cid)))
     return out

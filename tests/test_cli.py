@@ -200,14 +200,14 @@ class TestMain:
     def test_internal_error_is_typed(self, tmp_path, capsys, monkeypatch,
                                      exc):
         def fail(*args, **kwargs):
-            raise exc("slot resolution did not terminate")
+            raise exc("pair reduction did not terminate")
 
         monkeypatch.setattr(cli, "reduce_cone_zeta", fail)
         path = write_job(tmp_path, zeta2_job())
         assert main(["reduce", path]) == EXIT_INTERNAL
         err = json.loads(capsys.readouterr().out)
         assert err == {"error": "INTERNAL", "type": exc.__name__,
-                       "message": "slot resolution did not terminate"}
+                       "message": "pair reduction did not terminate"}
 
     def test_verify_3d_unsupported_before_reducing(self, tmp_path, capsys,
                                                    monkeypatch):

@@ -69,6 +69,7 @@ class TestCycloNumber:
                                  * CycloNumber.from_rational(c, M))
         lifted = a.embed(M)
         assert (lifted.N, lifted.coords) == (by_zeta.N, by_zeta.coords)
+        assert lifted == a and hash(lifted) == hash(a)
         for r in (a + b, a - b, a * b, -a, lifted):
             public = CycloNumber(r.N, r.coords)
             assert all(type(c) is Fraction for c in r.coords)
@@ -76,6 +77,15 @@ class TestCycloNumber:
             assert hash(r) == hash(public)
         assert close((a * b).to_complex(), a.to_complex() * b.to_complex(),
                      1e-9)
+
+    def test_equal_numbers_hash_equal_across_fields(self):
+        z3, z6sq = CycloNumber.zeta(3, 1), CycloNumber.zeta(6, 2)
+        assert z3 == z6sq and hash(z3) == hash(z6sq)
+        assert len({z3, z6sq}) == 1
+        i = CycloNumber.zeta(4, 1)
+        assert hash(i) == hash(i.embed(12))
+        q = CycloNumber.from_rational(Fraction(-3, 7), 5)
+        assert hash(q) == hash(Fraction(-3, 7))
 
     def test_embedding_compatible(self):
         z3 = CycloNumber.zeta(3)

@@ -202,6 +202,19 @@ class TestRefineDefinite:
         assert _pieces(C, forms) == [(((0, 0, 1), (0, 1, 0), (1, 0, 0)), 0)]
 
 
+class TestFractionalSpan:
+    def test_fractional_generators_span_the_plane(self):
+        # entries are scaled to integers, not truncated by int()
+        C = SimplicialCone([(Fraction(1, 2), Fraction(1, 3)),
+                            (0, Fraction(1, 2))], normalize=False)
+        assert C.dim == 2
+        C = SimplicialCone([(Fraction(1, 2), 1), (0, Fraction(1, 2))],
+                           normalize=False)
+        assert C.dim == 2
+        assert [t.generators for t in triangulate(C)] == [
+            t.generators for t in _pulling([(1, 2), (0, 1)])]
+
+
 class TestTriangulateIndependent:
     def test_equals_pulling(self):
         rnd = random.Random(5)
