@@ -4,10 +4,12 @@ Commands:
     conezeta reduce <job.json>   symbolic reduction + numeric self-evaluation
     conezeta verify <job.json>   reduction plus comparison with direct summation
 
-Flags: --precision <digits>, --trace <path>, --seed <u64>, --max-pieces <n>.
-Exit codes: 0 pass, 2 verification fail, 3 validation error, 4 divergent,
-5 internal error (a RuntimeError or AssertionError inside the reduction) or
-unsupported request (verify beyond the dimensions direct summation handles).
+Flags: --precision <digits>, --trace <path>, --seed <u64>, --max-pieces <n>;
+they override the job's options block and are validated like it.
+Exit codes: 0 pass, 2 verification fail, 3 validation error (a bad job, flag
+value or command line), 4 divergent, 5 internal error (a RuntimeError or
+AssertionError inside the reduction) or unsupported request (verify beyond
+the dimensions direct summation handles).
 """
 
 import argparse
@@ -39,9 +41,21 @@ class UnsupportedJob(Exception):
     """A valid job that the requested command cannot process."""
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are validation errors, not argparse's exit status 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _is_int(x):
     """A JSON integer: bool is a subclass of int, but not a number here."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_nonnegative(x, where):
+    if not _is_int(x) or x < 0:
+        raise ValidationError("%s must be a nonnegative integer" % where)
 
 
 def _expect_keys(obj, allowed, where):
@@ -124,10 +138,8 @@ def parse_job(doc):
     _expect_keys(options, {"precision", "trace", "seed", "maxPieces"},
                  "options")
     for key in ("precision", "seed", "maxPieces"):
-        if key in options and (not _is_int(options[key])
-                               or options[key] < 0):
-            raise ValidationError("options.%s must be a nonnegative integer"
-                                  % key)
+        if key in options:
+            _check_nonnegative(options[key], "options." + key)
     if "trace" in options and not isinstance(options["trace"], str):
         raise ValidationError("options.trace must be a path string")
     # positivity of the forms on the closed cone (interior follows)
@@ -214,7 +226,7 @@ def run_job(job, mode, precision=None, trace_path=None, seed=0,
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="conezeta")
+    ap = _ArgumentParser(prog="conezeta")
     ap.add_argument("command", choices=["reduce", "verify"])
     ap.add_argument("job", help="path to a JSON job file")
     ap.add_argument("--precision", type=int, default=None,
@@ -224,9 +236,13 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=None,
                     help="seed recorded in the report (default 0)")
     ap.add_argument("--max-pieces", type=int, default=None)
-    args = ap.parse_args(argv)
-
     try:
+        args = ap.parse_args(argv)
+        for flag, value in (("--precision", args.precision),
+                            ("--seed", args.seed),
+                            ("--max-pieces", args.max_pieces)):
+            if value is not None:
+                _check_nonnegative(value, flag)
         with open(args.job) as fh:
             doc = json.load(fh)
         job = parse_job(doc)

@@ -9,10 +9,10 @@ generators i+1..d.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .geometry import Cone, LinearForm, SimplicialCone, refine_definite
-from .linalg import primitive_int_vector, solve_consistent
+from .linalg import primitive_int_vector, primitive_ray, solve_consistent
 
 
 def class_vector(values):
@@ -156,8 +156,6 @@ def build_derived_sequences(C, S):
     none vanishing identically on C.  The union of the returned cones is C and
     their interiors are pairwise disjoint.
     """
-    from .geometry import primitive_ray
-
     forms = [f if isinstance(f, LinearForm) else LinearForm(f) for f in S]
     out = []
     for gens, levels in _derive_branches(list(C.generators), forms):
@@ -216,7 +214,7 @@ def primitive_rescale(D):
                 gp = i + p  # leading global coordinate
                 if gp < j and 0 <= j - i < len(v) and v[j - i] != 0:
                     r = Fraction(v[j - i], v[p] * e[gp])
-                    need = need * r.denominator // gcd(need, r.denominator)
+                    need = lcm(need, r.denominator)
         e[j] = need
     new_gens = [tuple(Fraction(ej) * Fraction(x) for x in g)
                 for ej, g in zip(e, D.cone.generators)]

@@ -1,11 +1,13 @@
 """Exact cyclotomic arithmetic, roots of unity and lattice characters."""
 
 import cmath
+import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .linalg import solve_consistent
+from .linalg import (_rref, mat_inverse, mat_mul, smith_normal_form,
+                     solve_consistent)
 
 
 def rational_to_str(q):
@@ -162,7 +164,7 @@ class CycloNumber:
     def _common(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycloNumber.from_rational(other, self.N)
-        M = self.N * other.N // gcd(self.N, other.N)
+        M = lcm(self.N, other.N)
         return self.embed(M), other.embed(M)
 
     def __add__(self, other):
@@ -199,60 +201,18 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclid algorithm in Q[x]."""
+        """Multiplicative inverse: the solution x of self * x = 1, a linear
+        system whose column j holds the coordinates of self * zeta_N^j."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.N)]
-        a = list(self.coords)
-        while a and a[-1] == 0:
-            a.pop()
-        # extended gcd of a and phi
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        t0, t1 = [Fraction(1)], [Fraction(0)]
-
-        def poly_trim(p):
-            p = list(p)
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        def poly_sub(p, q):
-            out = [Fraction(0)] * max(len(p), len(q))
-            for i, c in enumerate(p):
-                out[i] += c
-            for i, c in enumerate(q):
-                out[i] -= c
-            return poly_trim(out)
-
-        def poly_mul(p, q):
-            if not p or not q:
-                return []
-            out = [Fraction(0)] * (len(p) + len(q) - 1)
-            for i, c in enumerate(p):
-                if c:
-                    for j, e in enumerate(q):
-                        out[i + j] += c * e
-            return poly_trim(out)
-
-        while len(r1) > 1:
-            q, rem = _poly_divmod(r0, r1)
-            q = poly_trim(q)
-            rem = poly_trim(rem)
-            r0, r1 = r1, rem
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-            t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
-            if not r1:
-                raise ArithmeticError("degenerate gcd in cyclotomic inverse")
-        # r1 is a nonzero constant c;  s1 * a + t1 * phi = c
-        c = r1[0]
-        inv = [x / c for x in s1]
-        d = euler_phi(self.N)
-        # reduce inv mod phi (degree already < deg(phi) by Euclid)
-        coords = [Fraction(0)] * d
-        for i, x in enumerate(inv[:d]):
-            coords[i] = x
-        return CycloNumber(self.N, coords)
+        table, d = _reduction_table(self.N)
+        rows = [[0] * d + [int(t == 0)] for t in range(d)]
+        for i, a in enumerate(self.coords):
+            if a:
+                for j in range(d):
+                    for t, r in table[i + j]:
+                        rows[t][j] += a * r
+        return _cyclo(self.N, [row[d] for row in _rref(rows, d)[0]])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -315,7 +275,7 @@ class RootOfUnity:
         self.exp = exp // g
 
     def __mul__(self, other):
-        N = self.order * other.order // gcd(self.order, other.order)
+        N = lcm(self.order, other.order)
         return RootOfUnity(N, self.exp * (N // self.order)
                            + other.exp * (N // other.order))
 
@@ -407,9 +367,7 @@ class LatticeCharacter:
 def restrict_character(chi, basis):
     """Restriction of a character to a sublattice with the given basis."""
     values = [chi.eval(b) for b in basis]
-    N = 1
-    for v in values:
-        N = N * v.order // gcd(N, v.order)
+    N = lcm(*(v.order for v in values))
     exps = [v.exp * (N // v.order) for v in values]
     return LatticeCharacter(basis, N, exps)
 
@@ -420,8 +378,6 @@ def induced_character_decompose(L, chi):
     Returns the list of kappa = [L : L'] characters chi_i on L such that
     sum_i chi_i(x) = kappa * chi(x) for x in L' and 0 for x in L \\ L'.
     """
-    from .linalg import smith_normal_form, mat_mul, mat_inverse
-
     Lbasis = [list(row) for row in getattr(L, "basis", L)]
     sub_basis = [list(row) for row in chi.basis]
     if len(sub_basis) != len(Lbasis):
@@ -435,30 +391,23 @@ def induced_character_decompose(L, chi):
         if any(Fraction(v).denominator != 1 for v in c):
             raise ValueError("character lattice is not a sublattice of L")
         M.append([int(v) for v in c])
-    U, S, V = smith_normal_form(M)
+    _, S, V = smith_normal_form(M)
     d = len(M)
     divisors = [S[i][i] for i in range(d)]
     if any(di == 0 for di in divisors):
         raise ValueError("sublattice does not have finite index in L")
-    # adapted basis C of L: with U*M*V = S we have (U . sub) = S . (V^{-1}... )
-    # new L basis rows: C = V^T applied on... use C = (V^{-1})? Derivation:
-    # sub = M . Lbasis; M = U^{-1} S V^{-1}; put C = V^{-1} . Lbasis, then
-    # U . sub = S . C, i.e. rows of (U . sub) equal divisors[i] * C[i].
-    Vinv = mat_inverse(V)
-    C = mat_mul([[Fraction(x) for x in row] for row in Vinv],
-                [[Fraction(x) for x in row] for row in Lbasis])
+    # adapted basis C of L: sub = M . Lbasis and M = U^{-1} S V^{-1}, so
+    # with C = V^{-1} . Lbasis the rows of U . sub are divisors[i] * C[i]
+    C = mat_mul(mat_inverse(V), Lbasis)
     # chi on the scaled vectors d_i * C_i (these lie in the sublattice)
     base_roots = []
     for i in range(d):
         vec = [divisors[i] * x for x in C[i]]
         base_roots.append(chi.eval(vec))
     out = []
-    import itertools
     choice_sets = [nth_roots(r, divisors[i]) for i, r in enumerate(base_roots)]
     for combo in itertools.product(*choice_sets):
-        N = 1
-        for v in combo:
-            N = N * v.order // gcd(N, v.order)
+        N = lcm(*(v.order for v in combo))
         exps = [v.exp * (N // v.order) for v in combo]
         out.append(LatticeCharacter(C, N, exps))
     return out

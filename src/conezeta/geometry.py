@@ -5,26 +5,17 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import (mat_det, mat_inverse, mat_rank, nullspace,
-                     primitive_int_vector, smith_normal_form, solve_consistent)
-
-
-def primitive_ray(v):
-    """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    v = [Fraction(x) for x in v]
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector is not a ray")
-    return tuple(x // g for x in ints)
+                     primitive_int_vector, primitive_ray, smith_normal_form,
+                     solve_consistent)
 
 
 def dot(a, b):
     return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+
+
+def _basis_coords(basis, x):
+    """Coordinates of x in the rows of `basis` (raises off their span)."""
+    return solve_consistent(list(zip(*basis)), x)
 
 
 class LinearForm:
@@ -70,9 +61,7 @@ class Lattice:
         return len(self.basis)
 
     def coords_of(self, x):
-        cols = [[self.basis[j][i] for j in range(len(self.basis))]
-                for i in range(len(self.basis[0]))]
-        return solve_consistent(cols, list(x))
+        return _basis_coords(self.basis, x)
 
     def contains(self, x):
         try:
@@ -140,52 +129,23 @@ class Cone:
         return len(self.span_basis())
 
     def span_coords(self, x):
-        B = self.span_basis()
-        cols = [[B[j][i] for j in range(len(B))] for i in range(len(x))]
-        return solve_consistent(cols, list(x))
+        return _basis_coords(self.span_basis(), x)
 
     def in_span(self, x):
         try:
-            c = self.span_coords(x)
+            self.span_coords(x)
         except ValueError:
             return False
-        B = self.span_basis()
-        back = [sum(c[j] * B[j][i] for j in range(len(B)))
-                for i in range(len(x))]
-        return all(Fraction(a) == Fraction(b) for a, b in zip(back, x))
+        return True
 
     def facet_normals(self):
-        """Primitive facet normals in span coordinates (empty if dim <= 1)."""
-        if self._facets is not None:
-            return self._facets
-        d = self.dim
-        if d <= 1:
-            self._facets = ()
-            return self._facets
-        pts = [self.span_coords(g) for g in self.generators]
-        seen = set()
-        out = []
-        for sub in itertools.combinations(range(len(pts)), d - 1):
-            rows = [pts[i] for i in sub]
-            if mat_rank(rows) != d - 1:
-                continue
-            ns = nullspace(rows, d)
-            if len(ns) != 1:
-                continue
-            normal = ns[0]
-            vals = [dot(normal, p) for p in pts]
-            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-                if all(v <= 0 for v in vals):
-                    normal = [-x for x in normal]
-                key = primitive_int_vector(normal)
-                # primitive_int_vector normalizes the sign; restore the
-                # inward orientation
-                if any(dot(key, p) < 0 for p in pts):
-                    key = tuple(-x for x in key)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-        self._facets = tuple(out)
+        """Primitive inward facet normals in span coordinates (empty if
+        dim <= 1): the extreme rays of the dual cone."""
+        if self._facets is None:
+            d = self.dim
+            self._facets = () if d <= 1 else tuple(
+                extreme_rays_from_inequalities(
+                    [self.span_coords(g) for g in self.generators], d))
         return self._facets
 
     def is_pointed(self):
@@ -213,30 +173,26 @@ class Cone:
         self._rays = tuple(sorted(set(rays), key=_lex_key))
         return self._rays
 
+    def _signs(self, x):
+        """Values at x that are >= 0 on the cone and > 0 on its relative
+        interior (None off the span): the one coordinate along the ray when
+        dim is 1, the facet normals otherwise."""
+        try:
+            p = self.span_coords(x)
+        except ValueError:
+            return None
+        if self.dim == 1:
+            return [p[0] / self.span_coords(self.generators[0])[0]]
+        return [dot(n, p) for n in self.facet_normals()]
+
     def contains(self, x):
-        if not self.in_span(x):
-            return False
-        p = self.span_coords(x)
-        d = self.dim
-        if d == 1:
-            g = self.span_coords(self.generators[0])
-            idx = next(i for i, v in enumerate(g) if v != 0)
-            t = Fraction(p[idx]) / g[idx]
-            return t >= 0 and all(Fraction(a) == t * b for a, b in zip(p, g))
-        return all(dot(n, p) >= 0 for n in self.facet_normals())
+        vals = self._signs(x)
+        return vals is not None and all(v >= 0 for v in vals)
 
     def interior_contains(self, x):
         """Membership in the relative interior."""
-        if not self.in_span(x):
-            return False
-        p = self.span_coords(x)
-        d = self.dim
-        if d == 1:
-            g = self.span_coords(self.generators[0])
-            idx = next(i for i, v in enumerate(g) if v != 0)
-            t = Fraction(p[idx]) / g[idx]
-            return t > 0 and all(Fraction(a) == t * b for a, b in zip(p, g))
-        return all(dot(n, p) > 0 for n in self.facet_normals())
+        vals = self._signs(x)
+        return vals is not None and all(v > 0 for v in vals)
 
     def __repr__(self):
         return "Cone(%s)" % (list(map(list, self.generators)),)
@@ -259,43 +215,16 @@ class SimplicialCone(Cone):
         self._facets = None
         self._rays = None
 
-    def contains(self, x):
-        # barycentric test: coordinates in the generator basis must be >= 0
+    def _signs(self, x):
+        # barycentric test: coordinates in the generator basis
         try:
-            c = solve_consistent(
-                [[self.generators[j][i] for j in range(len(self.generators))]
-                 for i in range(self.ambient_dim)], list(x))
+            return self.generator_coords(x)
         except ValueError:
-            return False
-        back = [sum(c[j] * self.generators[j][i] for j in range(len(self.generators)))
-                for i in range(self.ambient_dim)]
-        if any(Fraction(a) != Fraction(b) for a, b in zip(back, x)):
-            return False
-        return all(v >= 0 for v in c)
-
-    def interior_contains(self, x):
-        try:
-            c = solve_consistent(
-                [[self.generators[j][i] for j in range(len(self.generators))]
-                 for i in range(self.ambient_dim)], list(x))
-        except ValueError:
-            return False
-        back = [sum(c[j] * self.generators[j][i] for j in range(len(self.generators)))
-                for i in range(self.ambient_dim)]
-        if any(Fraction(a) != Fraction(b) for a, b in zip(back, x)):
-            return False
-        return all(v > 0 for v in c)
+            return None
 
     def generator_coords(self, x):
         """Exact coordinates of x in the generator basis (raises off-span)."""
-        c = solve_consistent(
-            [[self.generators[j][i] for j in range(len(self.generators))]
-             for i in range(self.ambient_dim)], list(x))
-        back = [sum(c[j] * self.generators[j][i] for j in range(len(self.generators)))
-                for i in range(self.ambient_dim)]
-        if any(Fraction(a) != Fraction(b) for a, b in zip(back, x)):
-            raise ValueError("point not in the span of the cone")
-        return c
+        return _basis_coords(self.generators, x)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +300,9 @@ def free_superlattice(delta, L):
     prims = []
     for g in delta.generators:
         c = L.coords_of(g)
-        den = lcm(*(Fraction(v).denominator for v in c))
-        nums = [int(Fraction(v) * den) for v in c]
-        gg = 0
-        for x in nums:
-            gg = gcd(gg, abs(x))
-        t = Fraction(den, gg)  # minimal t > 0 with t*g in L
+        den = lcm(*(v.denominator for v in c))
+        # minimal t > 0 with t*g in L
+        t = Fraction(den, gcd(*(int(v * den) for v in c)))
         prims.append([t * Fraction(x) for x in g])
     M = [L.coords_of(p) for p in prims]
     kappa = abs(mat_det(M))

@@ -1,11 +1,8 @@
-"""Exact linear algebra helpers over Q and Z (small dense matrices)."""
+"""Exact linear algebra over Q and Z (small dense matrices); every rational
+elimination goes through one Gauss-Jordan routine, `_rref`."""
 
 from fractions import Fraction
-from math import gcd
-
-
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+from math import gcd, lcm, prod
 
 
 def mat_mul(A, B):
@@ -14,74 +11,65 @@ def mat_mul(A, B):
             for i in range(n)]
 
 
-def identity(n, one=1):
-    return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _rref(rows, m):
+    """Gauss-Jordan elimination on the first m columns of `rows`.
+
+    Returns (R, pivots, values, swaps): the reduced rows as Fractions (any
+    columns past m ride along, as in an augmented matrix), the pivot
+    columns in order, the pivot entries before scaling and the number of
+    row swaps.  Row r of R carries the pivot in column pivots[r].
+    """
+    A = [[Fraction(x) for x in row] for row in rows]
+    n = len(A)
+    pivots, values, swaps = [], [], 0
+    for col in range(m):
+        rank = len(pivots)
+        if rank == n:
+            break
+        piv = next((r for r in range(rank, n) if A[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            A[rank], A[piv] = A[piv], A[rank]
+            swaps += 1
+        f = A[rank][col]
+        prow = A[rank] = [a / f for a in A[rank]]
+        for r in range(n):
+            if r != rank and A[r][col] != 0:
+                g = A[r][col]
+                A[r] = [a - g * b for a, b in zip(A[r], prow)]
+        pivots.append(col)
+        values.append(f)
+    return A, pivots, values, swaps
 
 
 def mat_rank(rows):
-    """Rank of a matrix with rational entries (Gaussian elimination)."""
-    A = frac_matrix(rows)
-    n = len(A)
-    m = len(A[0]) if n else 0
-    rank = 0
-    col = 0
-    while rank < n and col < m:
-        piv = next((r for r in range(rank, n) if A[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        prow = A[rank]
-        for r in range(n):
-            if r != rank and A[r][col] != 0:
-                f = A[r][col] / prow[col]
-                A[r] = [a - f * b for a, b in zip(A[r], prow)]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of a matrix with rational entries."""
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def mat_inverse(rows):
     """Exact inverse of a square rational matrix."""
     n = len(rows)
-    A = frac_matrix(rows)
-    I = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        A[col], A[piv] = A[piv], A[col]
-        I[col], I[piv] = I[piv], I[col]
-        f = A[col][col]
-        A[col] = [a / f for a in A[col]]
-        I[col] = [a / f for a in I[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-                I[r] = [a - f * b for a, b in zip(I[r], I[col])]
-    return I
+    R, pivots, _, _ = _rref([list(row) + unit
+                             for row, unit in zip(rows, identity(n))], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in R]
 
 
 def mat_det(rows):
     """Exact determinant of a square rational matrix."""
-    A = frac_matrix(rows)
-    n = len(A)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col] != 0:
-                f = A[r][col] * inv
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return det
+    n = len(rows)
+    _, pivots, values, swaps = _rref(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    det = prod(values, start=Fraction(1))
+    return -det if swaps % 2 else det
 
 
 def solve_consistent(A, b):
@@ -89,31 +77,14 @@ def solve_consistent(A, b):
 
     If the system is underdetermined the free coordinates are set to 0.
     """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    M = [[Fraction(A[i][j]) for j in range(m)] + [Fraction(b[i])]
-         for i in range(n)]
-    pivots = []
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, n) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        f = M[rank][col]
-        M[rank] = [a / f for a in M[rank]]
-        for r in range(n):
-            if r != rank and M[r][col] != 0:
-                g = M[r][col]
-                M[r] = [a - g * c for a, c in zip(M[r], M[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, n):
-        if M[r][m] != 0:
-            raise ValueError("inconsistent linear system")
+    m = len(A[0]) if A else 0
+    R, pivots, _, _ = _rref([list(row) + [c] for row, c in zip(A, b)],
+                            m + 1)
+    if pivots and pivots[-1] == m:
+        raise ValueError("inconsistent linear system")
     x = [Fraction(0)] * m
-    for r, pc in enumerate(pivots):
-        x[pc] = M[r][m]
+    for row, pc in zip(R, pivots):
+        x[pc] = row[m]
     return x
 
 
@@ -121,51 +92,36 @@ def nullspace(rows, m=None):
     """Basis (list of rational vectors) of the right nullspace of `rows`."""
     if m is None:
         m = len(rows[0]) if rows else 0
-    A = frac_matrix(rows) if rows else []
-    n = len(A)
-    pivots = []
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, n) if A[r][col] != 0), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        f = A[rank][col]
-        A[rank] = [a / f for a in A[rank]]
-        for r in range(n):
-            if r != rank and A[r][col] != 0:
-                g = A[r][col]
-                A[r] = [a - g * b for a, b in zip(A[r], A[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(m) if c not in pivots]
+    R, pivots, _, _ = _rref(rows, m)
     basis = []
-    for fc in free:
+    for fc in range(m):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * m
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -A[r][fc]
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 
 
+def primitive_ray(v):
+    """Scale a nonzero rational vector to coprime integers, keeping direction."""
+    v = [Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector is not a ray")
+    return tuple(x // g for x in ints)
+
+
 def primitive_int_vector(v):
     """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
-    v = [Fraction(x) for x in v]
-    if all(x == 0 for x in v):
-        raise ValueError("zero vector has no primitive form")
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    ray = primitive_ray(v)
+    if next(x for x in ray if x != 0) < 0:
+        return tuple(-x for x in ray)
+    return ray
 
 
 def smith_normal_form(M):

@@ -55,30 +55,6 @@ def shuffle(u, v):
     return out
 
 
-class PolylogWord:
-    """A word in the letters dt/t (None) and dt/(1-e*t)."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters):
-        self.letters = tuple(letters)
-        if self.letters and self.letters[-1] is None:
-            raise ValueError("word may not end with dt/t")
-
-    def weight(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, PolylogWord) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        return "PolylogWord(%s)" % (["0" if l is None else repr(l)
-                                     for l in self.letters],)
-
-
 class ZExpression:
     """Q^ab-linear combination of values I(1; w) of convergent words."""
 
@@ -146,9 +122,6 @@ class ZExpression:
     def is_zero(self):
         return all(c.is_zero() for c in self.terms.values())
 
-    def weight(self):
-        return max((len(w) for w in self.terms), default=0)
-
     def evaluate(self, word_value):
         """Numeric value given a callback word -> complex."""
         total = 0j
@@ -179,9 +152,6 @@ class MZVSymbol:
         self.eps = tuple(eps)
         if len(self.ks) != len(self.eps):
             raise ValueError("depth mismatch")
-
-    def weight(self):
-        return sum(self.ks)
 
     def __eq__(self, other):
         return (isinstance(other, MZVSymbol) and self.ks == other.ks
@@ -278,9 +248,6 @@ class PNormalForm:
             out._add_term(pole, word, x * c)
         return out
 
-    def weight(self):
-        return max((len(w) for (_, w) in self.terms), default=0)
-
     def is_zero(self):
         return not self.terms
 
@@ -350,7 +317,7 @@ def _fold_y(j, pole_multiset):
             out.append((c, poles))
             continue
         b = next(r for r, m in poles.items() if m > 0)
-        binv = b.to_cyclo().inverse()
+        binv = b.inverse().to_cyclo()
         # y (1-by)^(-m) = (1/b) [(1-by)^(-m) - (1-by)^(-m+1)]
         p1 = dict(poles)
         work.append((c * binv, jj - 1, p1))
@@ -437,7 +404,7 @@ def _int_pole(b, nu, word):
         raise ValueError("pole power must be positive")
     if nu == 1:
         return PNormalForm({((None, 0), (b,) + word): ZExpression.one()})
-    pref = b.to_cyclo().inverse() * CycloNumber.from_rational(
+    pref = b.inverse().to_cyclo() * CycloNumber.from_rational(
         Fraction(1, nu - 1), 1)
     if not word:
         # closed form ((1-by)^(1-nu) - 1)/(b(nu-1))

@@ -12,34 +12,11 @@ recipe of one-variable kernel integrations consumed by the polylog module.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .exact import CycloNumber, nth_roots
 
 ONE = CycloNumber.from_rational(1, 1)
-
-
-class Monomial:
-    """Monomial y^alpha given by a tuple of natural exponents."""
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps):
-        self.exps = tuple(int(x) for x in exps)
-        if any(x < 0 for x in self.exps):
-            raise ValueError("monomial exponents must be nonnegative")
-
-    def leading(self):
-        return next((i for i, x in enumerate(self.exps) if x != 0), None)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return "Monomial(%s)" % (list(self.exps),)
 
 
 class FactorTerm:
@@ -133,10 +110,8 @@ class ReductionTrace:
 
 def factor_series(f, maxdeg):
     """Truncated multivariate series of a FactorTerm up to total degree."""
-    n = len(f.exps)
     deg_a = sum(f.exps)
     out = {}
-    ecy = f.root.to_cyclo()
     # (e y^a)^s * sum_t binom(mu-1+t, t) (e y^a)^t
     t = 0
     while deg_a * (f.s + t) <= maxdeg:
@@ -215,16 +190,13 @@ def integral_expression(generators, forms, chi):
     """
     n = len(forms)
     d = len(generators)
-    cols = []
     scale = Fraction(1)
     rows = []
     for f in forms:
         vals = [Fraction(f(g)) for g in generators]
         if any(v < 0 for v in vals) or all(v == 0 for v in vals):
             raise ValueError("form not positive on the open cone piece")
-        den = 1
-        for v in vals:
-            den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in vals))
         scale *= Fraction(1, den)  # form scaled up by den => zeta scaled down
         rows.append([int(v * den) for v in vals])
     # factor j corresponds to generator j; its exponent vector is column j

@@ -170,6 +170,32 @@ class TestMain:
         path = write_job(tmp_path, zeta2_job())
         assert main(["reduce", path, "--max-pieces", "0"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("args, named", [
+        (["reduce", "--precision", "-400"], "--precision"),
+        (["verify", "--precision", "-3"], "--precision"),
+        (["reduce", "--seed", "-5"], "--seed"),
+        (["reduce", "--seed", "-1"], "--seed"),
+        (["reduce", "--max-pieces", "-1"], "--max-pieces"),
+        (["reduce", "--precision", "x"], "--precision"),
+        (["frob"], "frob"),
+        (["reduce", "--no-such-flag"], "--no-such-flag"),
+    ])
+    def test_bad_command_line_is_one_validation_line(self, tmp_path, capsys,
+                                                     args, named):
+        path = write_job(tmp_path, zeta2_job())
+        assert main(args[:1] + [path] + args[1:]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "VALIDATION"
+        assert named in err["message"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
     def test_trace_flag_writes_replayable_trace(self, tmp_path, capsys):
         path = write_job(tmp_path, zeta2_job())
         tp = tmp_path / "trace.json"

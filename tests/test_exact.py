@@ -78,6 +78,21 @@ class TestCycloNumber:
         assert close((a * b).to_complex(), a.to_complex() * b.to_complex(),
                      1e-9)
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_stays_in_its_field(self, data):
+        N = data.draw(st.integers(1, 24))
+        x = CycloNumber(N, data.draw(st.lists(
+            rationals, min_size=euler_phi(N), max_size=euler_phi(N))))
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            return
+        inv = x.inverse()
+        assert inv.N == x.N
+        assert all(type(c) is Fraction for c in inv.coords)
+        assert x * inv == 1
+
     def test_equal_numbers_hash_equal_across_fields(self):
         z3, z6sq = CycloNumber.zeta(3, 1), CycloNumber.zeta(6, 2)
         assert z3 == z6sq and hash(z3) == hash(z6sq)
