@@ -4,7 +4,7 @@ Commands:
     conezeta reduce <job.json>   symbolic reduction + numeric self-evaluation
     conezeta verify <job.json>   reduction plus comparison with direct summation
 
-Flags: --precision <digits>, --trace <path>, --seed <u64>, --max-pieces <n>;
+Flags: --precision <0..10>, --trace <path>, --seed <u64>, --max-pieces <n>;
 they override the job's options block and are validated like it.
 Exit codes: 0 pass, 2 verification fail, 3 validation error (a bad job, flag
 value or command line), 4 divergent, 5 internal error (a RuntimeError or
@@ -53,9 +53,17 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_nonnegative(x, where):
+# (options key, flag, largest value): the tolerance stops at 1e-10, seed u64
+_INT_OPTIONS = (("precision", "--precision", 10),
+               ("seed", "--seed", 2 ** 64 - 1),
+               ("maxPieces", "--max-pieces", None))
+
+
+def _check_nonnegative(x, where, most=None):
     if not _is_int(x) or x < 0:
         raise ValidationError("%s must be a nonnegative integer" % where)
+    if most is not None and x > most:
+        raise ValidationError("%s must be at most %d" % (where, most))
 
 
 def _expect_keys(obj, allowed, where):
@@ -137,9 +145,9 @@ def parse_job(doc):
         options = {}
     _expect_keys(options, {"precision", "trace", "seed", "maxPieces"},
                  "options")
-    for key in ("precision", "seed", "maxPieces"):
+    for key, _, most in _INT_OPTIONS:
         if key in options:
-            _check_nonnegative(options[key], "options." + key)
+            _check_nonnegative(options[key], "options." + key, most)
     if "trace" in options and not isinstance(options["trace"], str):
         raise ValidationError("options.trace must be a path string")
     # positivity of the forms on the closed cone (interior follows)
@@ -230,7 +238,7 @@ def main(argv=None):
     ap.add_argument("command", choices=["reduce", "verify"])
     ap.add_argument("job", help="path to a JSON job file")
     ap.add_argument("--precision", type=int, default=None,
-                    help="digits of verification tolerance (default 6)")
+                    help="digits of verification tolerance (0-10, default 6)")
     ap.add_argument("--trace", default=None, metavar="PATH",
                     help="write the reduction trace to PATH")
     ap.add_argument("--seed", type=int, default=None,
@@ -238,11 +246,10 @@ def main(argv=None):
     ap.add_argument("--max-pieces", type=int, default=None)
     try:
         args = ap.parse_args(argv)
-        for flag, value in (("--precision", args.precision),
-                            ("--seed", args.seed),
-                            ("--max-pieces", args.max_pieces)):
+        for _, flag, most in _INT_OPTIONS:
+            value = getattr(args, flag[2:].replace("-", "_"))
             if value is not None:
-                _check_nonnegative(value, flag)
+                _check_nonnegative(value, flag, most)
         with open(args.job) as fh:
             doc = json.load(fh)
         job = parse_job(doc)

@@ -15,11 +15,6 @@ from .geometry import Cone, LinearForm, SimplicialCone, refine_definite
 from .linalg import primitive_int_vector, primitive_ray, solve_consistent
 
 
-def class_vector(values):
-    """Canonical class representative of a form given by generator values."""
-    return primitive_int_vector(values)
-
-
 class DerivedSequence:
     """Flagged simplicial cone with compatible form sets at every level."""
 
@@ -32,7 +27,7 @@ class DerivedSequence:
             raise ValueError("expected %d levels" % n)
         lv = []
         for i, level in enumerate(levels):
-            classes = sorted({class_vector(v) for v in level})
+            classes = sorted({primitive_int_vector(v) for v in level})
             for v in classes:
                 if len(v) != n - i:
                     raise ValueError("level %d form has wrong arity" % i)
@@ -90,12 +85,12 @@ def derived_level(level):
     for v in level:
         rest = v[1:]
         if any(x != 0 for x in rest):
-            out.add(class_vector(rest))
+            out.add(primitive_int_vector(rest))
     nz = [v for v in level if v[0] != 0]
     for a1, a2 in itertools.combinations(nz, 2):
         cross = [a1[0] * x2 - a2[0] * x1 for x1, x2 in zip(a1[1:], a2[1:])]
         if any(x != 0 for x in cross):
-            out.add(class_vector(cross))
+            out.add(primitive_int_vector(cross))
     return out
 
 
@@ -131,7 +126,7 @@ def _derive_branches(gens, forms):
         for f in forms_c:
             vals = tuple(f(g) for g in rest)
             if any(x != 0 for x in vals):
-                derived.setdefault(class_vector(vals), f)
+                derived.setdefault(primitive_int_vector(vals), f)
         nz = [f for f in forms_c if f(v) != 0]
         for f1, f2 in itertools.combinations(nz, 2):
             a1, a2 = f1(v), f2(v)
@@ -139,7 +134,7 @@ def _derive_branches(gens, forms):
                                 for x, y in zip(f1.coeffs, f2.coeffs)])
             vals = tuple(cross(g) for g in rest)
             if any(x != 0 for x in vals):
-                derived.setdefault(class_vector(vals), cross)
+                derived.setdefault(primitive_int_vector(vals), cross)
         for sub_gens, sub_levels in _derive_branches(rest, list(derived.values())):
             ordered = [tuple(v)] + [tuple(g) for g in sub_gens]
             level0 = [tuple(f(g) for g in ordered) for f in forms_c]
@@ -174,24 +169,6 @@ def build_derived_sequences(C, S):
             raise AssertionError("invalid derived sequence: %s" % errs)
         out.append(ds)
     return out
-
-
-class VariablePart:
-    """Classes at a level with nonzero leading value, leading entry scaled."""
-
-    __slots__ = ("level", "classes")
-
-    def __init__(self, level, classes):
-        self.level = level
-        self.classes = tuple(classes)
-
-    def __repr__(self):
-        return "VariablePart(level=%d, %s)" % (self.level, list(self.classes))
-
-
-def variable_part(D, i):
-    """Variable part of level i: classes not vanishing on the dual ray."""
-    return VariablePart(i, tuple(v for v in D.levels[i] if v[0] != 0))
 
 
 def primitive_rescale(D):

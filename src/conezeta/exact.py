@@ -57,15 +57,15 @@ def cyclotomic_poly(N):
 
 @lru_cache(maxsize=None)
 def _reduction_table(N):
-    """x^j mod Phi_N for j = 0 .. 2*(phi-1), each row as the sparse
-    (index, integer coefficient) pairs of its nonzero entries."""
+    """x^j mod Phi_N for j = 0 .. max(2*phi - 2, N - 1), which covers the
+    products of two power-basis elements and every power of zeta_N, each
+    row as the sparse (index, integer coefficient) pairs of its nonzero
+    entries."""
     phi_coeffs = cyclotomic_poly(N)
     d = len(phi_coeffs) - 1
     rows = []
-    cur = [0] * d
-    if d > 0:
-        cur[0] = 1
-    for _ in range(2 * d - 1 if d else 1):
+    cur = [1] + [0] * (d - 1)
+    for _ in range(max(2 * d - 1, N)):
         rows.append(tuple((t, r) for t, r in enumerate(cur) if r))
         # multiply by x, reduce
         nxt = [0] + cur[:]
@@ -135,18 +135,11 @@ class CycloNumber:
     @staticmethod
     def zeta(N, k=1):
         """zeta_N^k as a CycloNumber of modulus N."""
-        k %= N
-        d = euler_phi(N)
-        if k < d:
-            coords = [Fraction(0)] * d
-            coords[k] = Fraction(1)
-            return CycloNumber(N, coords)
-        # reduce x^k modulo the cyclotomic polynomial directly
-        phi = cyclotomic_poly(N)
-        poly = [Fraction(0)] * k + [Fraction(1)]
-        _, rem = _poly_divmod(poly, phi)
-        rem = rem + [Fraction(0)] * (d - len(rem))
-        return CycloNumber(N, rem[:d])
+        table, d = _reduction_table(N)
+        coords = [Fraction(0)] * d
+        for t, r in table[k % N]:
+            coords[t] = Fraction(r)
+        return _cyclo(N, coords)
 
     def embed(self, M):
         """Embed into Q(zeta_M) for N | M (zeta_N = zeta_M^(M/N))."""
@@ -180,9 +173,6 @@ class CycloNumber:
         a, b = self._common(other)
         return _cyclo(a.N, [x - y for x, y in zip(a.coords, b.coords)])
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         a, b = self._common(other)
         table, d = _reduction_table(a.N)
@@ -213,14 +203,6 @@ class CycloNumber:
                     for t, r in table[i + j]:
                         rows[t][j] += a * r
         return _cyclo(self.N, [row[d] for row in _rref(rows, d)[0]])
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(other, self.N)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return CycloNumber.from_rational(other, 1) / self
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -289,12 +271,8 @@ class RootOfUnity:
     def is_one(self):
         return self.order == 1
 
-    def to_cyclo(self, N=None):
-        if N is None:
-            N = self.order
-        if N % self.order != 0:
-            raise ValueError("modulus %d does not contain this root" % N)
-        return CycloNumber.zeta(N, self.exp * (N // self.order))
+    def to_cyclo(self):
+        return CycloNumber.zeta(self.order, self.exp)
 
     def to_complex(self):
         return cmath.exp(2j * cmath.pi * self.exp / self.order)

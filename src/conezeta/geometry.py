@@ -56,10 +56,6 @@ class Lattice:
         if self.basis and mat_rank(self.basis) != len(self.basis):
             raise ValueError("lattice basis must be linearly independent")
 
-    @property
-    def rank(self):
-        return len(self.basis)
-
     def coords_of(self, x):
         return _basis_coords(self.basis, x)
 
@@ -279,16 +275,9 @@ def open_simplicial_decomposition(C):
                 if face not in seen:
                     seen[face] = SimplicialCone(face)
     # keep faces whose relative interior lies in the interior of C
-    normals = C.facet_normals()
-    out = []
-    for gens, face in sorted(seen.items()):
-        centroid = [sum(col) for col in zip(*gens)]
-        if normals:
-            p = C.span_coords(centroid)
-            if any(dot(n, p) == 0 for n in normals):
-                continue
-        out.append((face, span_integer_lattice(face.generators)))
-    return out
+    return [(face, span_integer_lattice(face.generators))
+            for gens, face in sorted(seen.items())
+            if C.interior_contains([sum(col) for col in zip(*gens)])]
 
 
 def free_superlattice(delta, L):

@@ -282,22 +282,17 @@ def eval_cone_zeta(generators, forms, character=None, radius=400,
             sgn = 1 if gens[0][0] > 0 else -1
             X = sgn * np.arange(1, R + 1)[:, None]
         else:
-            # vectorized strict-interior enumeration on the [-R, R]^2 grid
+            # vectorized strict-interior enumeration on the [-R, R]^2 grid;
+            # a full-dimensional cone's span basis is the standard one, so
+            # its facet normals are covectors on the grid coordinates
             normals = C.facet_normals()
             if C.dim != 2 or not normals:
                 raise ValueError("cone must be full-dimensional and pointed")
             rng = np.arange(-R, R + 1)
             x1, x2 = rng[:, None], rng[None, :]
             mask = np.ones((rng.size, rng.size), dtype=bool)
-            for nrm in normals:
-                # normals are covectors on span coordinates; in 2D full rank
-                # the span basis is the standard one up to an integer change;
-                # work through span_coords on the basis vectors
-                c1 = sum(float(a) * float(b) for a, b in
-                         zip(nrm, C.span_coords((1, 0))))
-                c2 = sum(float(a) * float(b) for a, b in
-                         zip(nrm, C.span_coords((0, 1))))
-                mask &= (c1 * x1 + c2 * x2) > 1e-9
+            for c1, c2 in normals:
+                mask &= (float(c1) * x1 + float(c2) * x2) > 1e-9
             X = rng[np.argwhere(mask)]
         den = np.ones(len(X))
         for f in fms:

@@ -48,8 +48,7 @@ def execute_recipe(node, check_zero=None):
             pnf = multiply_factor(pnf, root, c, mu, s)
         return pnf
     if op == "int":
-        return integrate_P(execute_recipe(node[1], check_zero), ("t",),
-                           check_zero)
+        return integrate_P(execute_recipe(node[1], check_zero), check_zero)
     if op == "const":
         val, _ = regularize_limit(execute_recipe(node[1], check_zero),
                                   check_zero)
@@ -62,7 +61,7 @@ def integrand_function(I, check_zero=None, trace=None):
     as a normal form in the last variable (the final limit at 1 pending)."""
     recipe = reduce_to_univariate(I, trace)
     pnf = execute_recipe(recipe, check_zero)
-    return integrate_P(pnf, ("t",), check_zero)
+    return integrate_P(pnf, check_zero)
 
 
 class ReductionResult:
@@ -92,15 +91,16 @@ class ReductionResult:
         return "ReductionResult(%r)" % (self.value,)
 
 
-def reduce_cone_zeta(generators, forms, character=None, trace=None,
-                     check_zero=None, max_pieces=None, collect_trace=False):
+def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
+                     max_pieces=None, collect_trace=False):
     """Reduce a cone zeta value to a ZExpression of cyclotomic zeta symbols.
 
     generators: rays of a pointed cone in Z^m; forms: linear forms (coefficient
     sequences or LinearForm) positive on the interior; character: an optional
     LatticeCharacter on a finite-index sublattice of Z^m (trivial if omitted).
-    Raises DivergentResult when the defining sum fails the convergence
-    criterion and PieceLimitExceeded past `max_pieces` pieces.
+    With `collect_trace` the result carries a ReductionTrace of the rewrite
+    rules applied.  Raises DivergentResult when the defining sum fails the
+    convergence criterion and PieceLimitExceeded past `max_pieces` pieces.
     """
     generators = [tuple(Fraction(x) for x in g) for g in generators]
     m = len(generators[0])
@@ -111,8 +111,7 @@ def reduce_cone_zeta(generators, forms, character=None, trace=None,
     if character is None:
         ident = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
         character = LatticeCharacter.trivial(ident)
-    if trace is None and collect_trace:
-        trace = ReductionTrace()
+    trace = ReductionTrace() if collect_trace else None
     if check_zero is None:
         from .numeric import zexpr_zero_check
         check_zero = zexpr_zero_check()
@@ -158,7 +157,7 @@ def _reduce_integrand(I, trace, check_zero, stats):
         if coeff.is_zero():
             continue
         stats["distinct_integrands"] += 1
-        IU = Integrand(coeff, factors, nvars, tag="U")
+        IU = Integrand(coeff, factors, nvars)
         fn = fn + integrand_function(IU, check_zero, trace)
     value, _ = regularize_limit(fn, check_zero)
     return value
@@ -182,7 +181,7 @@ def _uni_terms(I, trace, stats):
     stats["branches"] += len(branches)
     rescaled = [primitive_rescale(ds)[1] for ds in branches]
     out = []
-    for ds, ID in change_coordinates(I, rescaled, trace):
-        out.extend(uni_factorize(ID, ds, trace))
+    for _, ID in change_coordinates(I, rescaled, trace):
+        out.extend(uni_factorize(ID, trace))
     stats["uni_terms"] += len(out)
     return out

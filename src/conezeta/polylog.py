@@ -248,9 +248,6 @@ class PNormalForm:
             out._add_term(pole, word, x * c)
         return out
 
-    def is_zero(self):
-        return not self.terms
-
     def __repr__(self):
         return "PNormalForm(%d terms)" % len(self.terms)
 
@@ -268,7 +265,7 @@ def _pf_pair(a, p, b, q):
         ac, bc = a.to_cyclo(), b.to_cyclo()
         den = (ac - bc).inverse()
         A = ac * den
-        B = bc * (bc - ac).inverse()
+        B = -bc * den
         out = {}
         for (r, m), c in _pf_pair(a, p, b, q - 1).items():
             out[(r, m)] = out.get((r, m), ZERO) + A * c
@@ -360,40 +357,30 @@ def multiply_factor(pnf, root, c, mu, s):
 # ---------------------------------------------------------------------------
 # kernel integration
 
-def integrate_P(pnf, kernel=("t",), check_zero=None):
-    """Integral from 0 to y of F(t) with kernel dt/t or dt/(1-e t)^nu.
+def integrate_P(pnf, check_zero=None):
+    """Integral from 0 to y of F(t) dt/t.
 
-    kernel = ("t",) or ("pole", root, nu).  For dt/t the combination must
-    vanish at 0; the residual coefficient is checked with `check_zero`
-    (a callback ZExpression -> bool) or must be structurally zero.
+    The combination must vanish at 0; the residual coefficient is checked
+    with `check_zero` (a callback ZExpression -> bool) or must be
+    structurally zero.
     """
     out = PNormalForm()
-    if kernel[0] == "t":
-        residual = ZExpression.zero()
-        for ((e, m), word), coeff in pnf.terms.items():
-            if word:
-                out._add_term((None, 0), (W0,) + word, coeff)
-            else:
-                residual = residual + coeff
-            if m:
-                # 1/(t(1-et)^m) = 1/t + sum_{i<=m} e/(1-et)^i
-                ec = e.to_cyclo()
-                for i in range(1, m + 1):
-                    part = _int_pole(e, i, word)
-                    out = out + part.scale(coeff * ec)
-        if not residual.is_zero():
-            if check_zero is None or not check_zero(residual):
-                raise DivergentResult("dt/t integral of a function with "
-                                      "nonzero value at 0")
-        return out
-    _, r, nu = kernel
+    residual = ZExpression.zero()
     for ((e, m), word), coeff in pnf.terms.items():
-        poles = {r: nu}
+        if word:
+            out._add_term((None, 0), (W0,) + word, coeff)
+        else:
+            residual = residual + coeff
         if m:
-            poles[e] = poles.get(e, 0) + m
-        for c2, (r2, m2) in _merge_poles(poles):
-            part = _int_pole(r2, m2, word)
-            out = out + part.scale(coeff * c2)
+            # 1/(t(1-et)^m) = 1/t + sum_{i<=m} e/(1-et)^i
+            ec = e.to_cyclo()
+            for i in range(1, m + 1):
+                part = _int_pole(e, i, word)
+                out = out + part.scale(coeff * ec)
+    if not residual.is_zero():
+        if check_zero is None or not check_zero(residual):
+            raise DivergentResult("dt/t integral of a function with "
+                                  "nonzero value at 0")
     return out
 
 
@@ -413,13 +400,9 @@ def _int_pole(b, nu, word):
     out = PNormalForm({((b, nu - 1), word): ZExpression.from_cyclo(pref)})
     head, rest = word[0], word[1:]
     if head is None:
-        if not rest:
-            raise AssertionError("word ends with dt/t")
-        # (1-bt)^(1-nu)/t = 1/t + sum_{i<=nu-1} b/(1-bt)^i
-        sub = PNormalForm({((None, 0), (W0,) + rest): ZExpression.one()})
-        bc = b.to_cyclo()
-        for i in range(1, nu):
-            sub = sub + _int_pole(b, i, rest).scale(bc)
+        # int (1-bt)^(1-nu) I(t; rest) dt/t
+        sub = integrate_P(PNormalForm({((b, nu - 1), rest):
+                                       ZExpression.one()}))
     else:
         sub = PNormalForm()
         for (r2, m2), c2 in _pf_pair(b, nu - 1, head, 1).items():
@@ -459,14 +442,11 @@ def word_value_series(word, y, nterms=4000):
     return total
 
 
-def pnf_value(pnf, y, nterms=4000, zeval=None):
+def pnf_value(pnf, y, nterms=4000):
     """Numeric value of a normal form at y (0 < y < 1)."""
     total = 0j
     for ((e, m), word), coeff in pnf.terms.items():
-        if zeval is not None:
-            c = zeval(coeff)
-        else:
-            c = coeff.evaluate(lambda w: word_value_series(w, 1.0, nterms))
+        c = coeff.evaluate(lambda w: word_value_series(w, 1.0, nterms))
         v = c * (word_value_series(word, y, nterms) if word else 1.0)
         if m:
             v /= (1 - complex(e.to_complex()) * y) ** m

@@ -58,24 +58,22 @@ class FactorTerm:
 class Integrand:
     """Coefficient times a product of factors in a fixed variable list."""
 
-    __slots__ = ("coeff", "factors", "nvars", "tag")
+    __slots__ = ("coeff", "factors", "nvars")
 
-    def __init__(self, coeff, factors, nvars, tag="S"):
+    def __init__(self, coeff, factors, nvars):
         self.coeff = coeff if isinstance(coeff, CycloNumber) else \
             CycloNumber.from_rational(coeff, 1)
         self.factors = tuple(factors)
         self.nvars = int(nvars)
-        self.tag = tag
         for f in self.factors:
             if len(f.exps) != self.nvars:
                 raise ValueError("factor arity mismatch")
 
     def scaled(self, c):
-        return Integrand(self.coeff * c, self.factors, self.nvars, self.tag)
+        return Integrand(self.coeff * c, self.factors, self.nvars)
 
     def __repr__(self):
-        return "Integrand(%r, %s, tag=%s)" % (self.coeff, list(self.factors),
-                                              self.tag)
+        return "Integrand(%r, %s)" % (self.coeff, list(self.factors))
 
 
 class ReductionTrace:
@@ -207,7 +205,7 @@ def integral_expression(generators, forms, chi):
         factors.append(FactorTerm(root, exps, mu=1, s=1))
     # scaling forms by den multiplies the form, dividing zeta; compensate
     coeff = CycloNumber.from_rational(1 / scale, 1)
-    return Integrand(coeff, factors, n, tag="S")
+    return Integrand(coeff, factors, n)
 
 
 def convergence_check(generators_or_d, forms):
@@ -294,7 +292,7 @@ def change_coordinates(I, pieces, trace=None):
             for c0, fl in combo:
                 coeff = coeff * c0
                 factors.extend(fl)
-            out.append((ds, Integrand(coeff, factors, n, tag="D")))
+            out.append((ds, Integrand(coeff, factors, n)))
     return out
 
 
@@ -414,7 +412,7 @@ def partial_fraction_pair(F1, F2):
     return out
 
 
-def uni_factorize(I, D=None, trace=None):
+def uni_factorize(I, trace=None):
     """Rewrite a type-D integrand as a combination of uni-factor integrands.
 
     In a uni-factor integrand at most one pole factor has any given leading
@@ -422,7 +420,7 @@ def uni_factorize(I, D=None, trace=None):
     lexicographically smallest clashing pair.
     """
     work = _split_leading(I.coeff, list(I.factors), trace)
-    return [Integrand(c, fl, I.nvars, tag="U")
+    return [Integrand(c, fl, I.nvars)
             for c, fl in _pair_reduce(work, None, trace)]
 
 
@@ -501,7 +499,8 @@ TRACEABLE_RULES = {
 # A simple object has at most one pole factor per integrated slot, each with
 # mu = 1 and s = 1, and no factors leading at free slots.  reduce_A,
 # _integrate_slot and reduce_B recurse only on objects of strictly smaller
-# weight, so the recursion terminates.
+# weight, so the recursion terminates.  An integration by parts in an
+# integrated slot y leaves a boundary term at y = 1 (_boundary).
 
 class UFObject:
     """Partially integrated product of factors."""
@@ -550,26 +549,37 @@ def _project_factor(f, coords, sub_coords):
     return FactorTerm(f.root, out, f.mu, f.s)
 
 
-def _restrict_object(coeff, obj, cid):
-    """Substitute y_cid = 1 (delete the coordinate)."""
+def _restrict_object(obj, cid):
+    """Substitute y_cid = 1 (delete the coordinate): (coeff, object)."""
     pos = obj.coords.index(cid)
     new_coords = obj.coords[:pos] + obj.coords[pos + 1:]
     new_factors = []
+    coeff = ONE
     for f in obj.factors:
         exps = f.exps[:pos] + f.exps[pos + 1:]
         if all(x == 0 for x in exps):
             if f.root.is_one():
                 raise AssertionError("pole at 1 in a face restriction")
-            rc = f.root.to_cyclo()
+            inv = (ONE - f.root.to_cyclo()).inverse()
             val = (f.root ** f.s).to_cyclo()
-            den = (ONE - rc)
             for _ in range(f.mu):
-                val = val * den.inverse()
+                val = val * inv
             coeff = coeff * val
         else:
             new_factors.append(FactorTerm(f.root, exps, f.mu, f.s))
     w = obj.weight - 1 if pos < obj.weight else obj.weight
     return coeff, UFObject(new_coords, new_factors, w)
+
+
+def _boundary(f, obj, cid, coords):
+    """The y_cid = 1 end of an integration by parts in y_cid: the exponents
+    of the factor f (on `coords`) with y_cid's set to 0, and the coefficient
+    and object of obj restricted to y_cid = 1."""
+    pos = coords.index(cid)
+    exps = f.exps[:pos] + (0,) + f.exps[pos + 1:]
+    if all(x == 0 for x in exps):
+        raise AssertionError("pure pole factor cannot reach the boundary")
+    return (exps,) + _restrict_object(obj, cid)
 
 
 def _extend_weight(obj, cid):
@@ -585,7 +595,9 @@ def _extend_weight(obj, cid):
 
 def _with_factor(obj, f, coords):
     """Adjoin a factor given on `coords` to an object on a sub-coordinate
-    tuple."""
+    tuple; a factor None leaves the object as it is."""
+    if f is None:
+        return obj
     g = _project_factor(f, coords, obj.coords)
     return UFObject(obj.coords, obj.factors + (g,), obj.weight)
 
@@ -615,42 +627,33 @@ def reduce_A(coords, factors, w, trace=None):
             Mh = high1 + [f for f in fl2 if f.leading() > slot]
             coef = c1 * c2
             P = poles[0] if poles else None
-            for c3, M3, h3 in _integrate_slot(coords, P, h, cid, slot,
-                                              trace):
+            for c3, M3, h3 in _integrate_slot(coords, P, h, cid, trace):
                 out.append((coef * c3, Mh + M3, h3))
     return out
 
 
-def _integrate_slot(coords, P, h, cid, slot, trace):
+def _integrate_slot(coords, P, h, cid, trace):
     """Integrate (0,1) in y_cid of P(y) * h(y, frees) dy/y.
 
-    P is the unique pole factor leading at `slot` on `coords` (or None); h is
+    P is the unique pole factor leading at y_cid on `coords` (or None); h is
     a simple object whose first free coordinate is cid.  Returns a list of
     (coeff, M, h') in the sense of reduce_A.
     """
-    if P is None:
-        return [(ONE, [], _extend_weight(h, cid))]
-    if P.s != 1 or P.mu < 1:
+    if P is not None and (P.s != 1 or P.mu < 1):
         raise AssertionError("unnormalized slot factor")
-    if P.mu == 1:
-        h2 = _with_factor(h, P, coords)
-        return [(ONE, [], _extend_weight(h2, cid))]
+    if P is None or P.mu == 1:
+        return [(ONE, [], _extend_weight(_with_factor(h, P, coords), cid))]
     # mu >= 2: integrate by parts
     nu = P.mu
     inv = CycloNumber.from_rational(Fraction(1, nu - 1), 1)
     out = []
     # boundary at y_cid = 1: (1/(1-ep)^(nu-1) - 1)/(nu-1) * h|_{y_cid=1},
     # telescoped into poles of the free monomial p
-    pos = coords.index(cid)
-    p_exps = P.exps[:pos] + (0,) + P.exps[pos + 1:]
-    if all(x == 0 for x in p_exps):
-        raise AssertionError("pure pole factor cannot reach the boundary")
-    bc, hb = _restrict_object(ONE, h, cid)
+    p_exps, bc, hb = _boundary(P, h, cid, coords)
     for t in range(1, nu):
-        Mt = FactorTerm(P.root, p_exps, t, 1)
-        out.append((inv * bc, [Mt], hb))
+        out.append((inv * bc, [FactorTerm(P.root, p_exps, t, 1)], hb))
     # derivative term: -1/(nu-1) * sum_t int u/(1-u)^t (y d/dy h) dy/y
-    for cD, obj in reduce_B(h, cid, trace):
+    for cD, obj in reduce_B(h, cid):
         for t in range(1, nu):
             Pt = FactorTerm(P.root, P.exps, t, 1)
             ext = _extend_weight(_with_factor(obj, Pt, coords), cid)
@@ -663,7 +666,7 @@ def _integrate_slot(coords, P, h, cid, slot, trace):
     return out
 
 
-def reduce_B(h, vid, trace=None):
+def reduce_B(h, vid):
     """Differential y_vid * d/dy_vid of a simple object h, for a free
     coordinate vid.  Returns a list of (coeff, UFObject) of weight < h.weight
     representing the derivative.
@@ -671,36 +674,22 @@ def reduce_B(h, vid, trace=None):
     w = h.weight
     if w == 0:
         return []
-    slot = w - 1
-    cid = h.coords[slot]
-    L = [f for f in h.factors if f.leading() == slot]
-    g = UFObject(h.coords, [f for f in h.factors if f.leading() != slot],
+    cid = h.coords[w - 1]
+    # the pole factor leading at y_cid, if any
+    L = next((f for f in h.factors if f.leading() == w - 1), None)
+    g = UFObject(h.coords, [f for f in h.factors if f.leading() != w - 1],
                  w - 1)
-    out = []
-    if not L:
-        for c, obj in reduce_B(g, vid, trace):
-            out.append((c, _extend_weight(obj, cid)))
-        return out
-    L = L[0]
-    vpos = h.coords.index(vid)
-    for c, obj in reduce_B(g, vid, trace):
-        out.append((c, _extend_weight(_with_factor(obj, L, h.coords), cid)))
-    cexp = L.exps[vpos]
+    out = [(c, _extend_weight(_with_factor(obj, L, h.coords), cid))
+           for c, obj in reduce_B(g, vid)]
+    cexp = 0 if L is None else L.exps[h.coords.index(vid)]
     if cexp != 0:
         cc = CycloNumber.from_rational(cexp, 1)
         # boundary of int c*u/(1-u)^2 g dy/y at y_cid = 1
-        bcoef, gb = _restrict_object(ONE, g, cid)
-        pos = h.coords.index(cid)
-        p_exps = L.exps[:pos] + (0,) + L.exps[pos + 1:]
-        if all(x == 0 for x in p_exps):
-            raise AssertionError("pure pole factor cannot reach the boundary")
-        Lb = FactorTerm(L.root, _embed_exps(
-            [p_exps[i] for i, c0 in enumerate(h.coords) if c0 in gb.coords],
-            [c0 for c0 in h.coords if c0 in gb.coords], gb.coords), 1, 1)
-        out.append((cc * bcoef,
-                    UFObject(gb.coords, gb.factors + (Lb,), gb.weight)))
+        p_exps, bcoef, gb = _boundary(L, g, cid, h.coords)
+        out.append((cc * bcoef, _with_factor(
+            gb, FactorTerm(L.root, p_exps, 1, 1), h.coords)))
         # minus int c*u/(1-u) (y_cid d/dy_cid g) dy/y
-        for cD, obj in reduce_B(g, cid, trace):
+        for cD, obj in reduce_B(g, cid):
             out.append((-cc * cD,
                         _extend_weight(_with_factor(obj, L, h.coords), cid)))
     return out
@@ -741,7 +730,6 @@ def _p_recipe(coords, factors, trace=None):
                 node = ('mul', [_pure_factor(m) for m in M], node)
             parts.append((coef, node))
         node = ('sum', parts)
-        rest = []
     if pure:
         node = ('mul', [_pure_factor(f) for f in pure], node)
     return node
@@ -773,7 +761,7 @@ def _simple_recipe(h, trace=None):
         inner = _p_recipe(sub_coords, sub_factors, trace)
         return ('const', ('int', inner))
     parts = []
-    for c, obj in reduce_B(h, h.coords[last], trace):
+    for c, obj in reduce_B(h, h.coords[last]):
         if obj.weight != len(obj.coords) - 1:
             raise AssertionError("derivative term is not univariate")
         parts.append((c, _p_recipe(obj.coords, list(obj.factors), trace)))

@@ -120,7 +120,7 @@ class TestProperties:
             # uni_factorize (two variables keep clash deltas sign-definite)
             fl = [FactorTerm(random_root(rnd), (1, rnd.randint(0, 3)), 1, 1)
                   for _ in range(rnd.randint(2, 3))]
-            I = Integrand(ONE, fl, 2, tag="D")
+            I = Integrand(ONE, fl, 2)
             out = uni_factorize(I)
             assert series_equal([I], out, 6)
             checked["uni_factorize"] += 1

@@ -179,6 +179,8 @@ class TestMain:
         (["reduce", "--precision", "x"], "--precision"),
         (["frob"], "frob"),
         (["reduce", "--no-such-flag"], "--no-such-flag"),
+        (["reduce", "--precision", "11"], "--precision"),
+        (["reduce", "--seed", str(2 ** 64)], "--seed"),
     ])
     def test_bad_command_line_is_one_validation_line(self, tmp_path, capsys,
                                                      args, named):
@@ -189,6 +191,34 @@ class TestMain:
         err = json.loads(out)
         assert err["error"] == "VALIDATION"
         assert named in err["message"]
+
+    @pytest.mark.parametrize("options, named", [
+        ({"precision": 11}, "options.precision"),
+        ({"seed": 2 ** 64}, "options.seed"),
+    ])
+    def test_out_of_range_option_is_one_validation_line(self, tmp_path,
+                                                        capsys, options,
+                                                        named):
+        doc = zeta2_job()
+        doc["options"] = options
+        assert main(["reduce", write_job(tmp_path, doc)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "VALIDATION"
+        assert named in err["message"]
+
+    def test_largest_seed_and_precision_run(self, tmp_path, capsys):
+        doc = zeta2_job()
+        doc["options"] = {"seed": 2 ** 64 - 1, "precision": 10}
+        path = write_job(tmp_path, doc)
+        assert main(["reduce", path]) == EXIT_PASS
+        report = json.loads(capsys.readouterr().out)
+        assert report["seed"] == 2 ** 64 - 1
+        assert report["budgets"]["tolerance"] == 1e-10
+        assert main(["reduce", path, "--seed", str(2 ** 64 - 1),
+                     "--precision", "10"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["seed"] == 2 ** 64 - 1
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

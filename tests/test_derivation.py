@@ -5,7 +5,7 @@ import pytest
 
 from conezeta.geometry import Cone, SimplicialCone, LinearForm
 from conezeta.derivation import (DerivedSequence, build_derived_sequences,
-                                 variable_part, primitive_rescale)
+                                 primitive_rescale)
 from conezeta.linalg import mat_rank
 
 
@@ -95,14 +95,3 @@ class TestPrimitiveRescale:
                                        r.cone.generators):
             assert tuple(Fraction(scale) * Fraction(x) for x in g_old) == \
                 tuple(Fraction(x) for x in g_new)
-
-
-class TestVariablePart:
-    def test_nonzero_leading_classes(self):
-        ds = build_derived_sequences(
-            SimplicialCone([(1, 0), (0, 1)]),
-            [LinearForm((1, 0)), LinearForm((1, 1))])[0]
-        vp = variable_part(ds, 0)
-        assert vp.classes
-        for v in vp.classes:
-            assert v[0] != 0

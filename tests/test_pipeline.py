@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conezeta.exact import LatticeCharacter
+from conezeta.exact import CycloNumber, LatticeCharacter, RootOfUnity
 from conezeta.geometry import Cone, LinearForm, open_simplicial_decomposition
 from conezeta.geometry import free_superlattice
-from conezeta.polylog import DivergentResult
-from conezeta.pipeline import reduce_cone_zeta, PieceLimitExceeded
-from conezeta.numeric import eval_zexpr, eval_cone_zeta, verify_reduction
+from conezeta.polylog import DivergentResult, regularize_limit
+from conezeta.rewrite import FactorTerm, Integrand
+from conezeta.pipeline import (reduce_cone_zeta, PieceLimitExceeded,
+                               integrand_function)
+from conezeta.numeric import (eval_zexpr, eval_cone_zeta, verify_reduction,
+                              quad_check, zexpr_zero_check)
 
 ZETA2 = math.pi ** 2 / 6
 ZETA3 = 1.2020569031595942854
@@ -140,3 +143,30 @@ class TestGroupedIntegration:
         assert (grouped.value - reference.value).is_zero()
         assert repr(grouped.symbols()) == repr(reference.symbols())
         assert reference.stats["uni_terms"] == grouped.stats["uni_terms"]
+
+
+R2 = RootOfUnity(2, 1)
+I4 = RootOfUnity(4, 1)
+
+
+class TestReductionPaths:
+    """Hand-built uni-factor integrands that reach reduction paths no cone
+    job reaches: a factor constant in the last variable (the 'const'
+    recipe), a slot pole of power 2 (integration by parts, whose derivative
+    term needs a third variable), and pole powers 2 in the dt/t kernel.
+    The box integral of each must match nested quadrature."""
+
+    @pytest.mark.parametrize("factors, maxdegree", [
+        ([(R2, (1, 0), 1), (I4, (0, 1), 1)], 9),
+        ([(R2, (1, 1), 1), (I4, (0, 1), 2)], 9),
+        ([(R2, (1, 0), 1), (I4, (1, 1), 2)], 9),
+        ([(R2, (1, 1, 0), 1), (I4, (0, 1, 1), 2)], 3),
+    ], ids=["const", "pole2", "const_parts_pole2", "parts_derivative"])
+    def test_box_integral_matches_quadrature(self, factors, maxdegree):
+        fl = [FactorTerm(root, exps, mu, 1) for root, exps, mu in factors]
+        I = Integrand(CycloNumber.from_rational(1, 1), fl, len(fl[0].exps))
+        check = zexpr_zero_check()
+        value, _ = regularize_limit(integrand_function(I, check), check)
+        got = eval_zexpr(value).value
+        want = quad_check(I, maxdegree=maxdegree)
+        assert abs(got - want) < 1e-9

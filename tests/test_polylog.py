@@ -131,32 +131,43 @@ class TestMultiplyFactor:
 
 
 class TestIntegrateP:
-    def test_pole_kernel_against_quadrature(self):
-        # int_0^y (1-t)^{-2} log(1+t) dt, since I(t; w_{-1}) = log(1+t)
-        pnf = PNormalForm({((None, 0), (WM1,)): ZExpression.one()})
-        out = integrate_P(pnf, kernel=("pole", W1, 2))
+    def test_dt_over_t_double_pole_against_quadrature(self):
+        # int_0^y log(1+t) / (t (1-t)^2) dt, since I(t; w_{-1}) = log(1+t)
+        pnf = PNormalForm({((W1, 2), (WM1,)): ZExpression.one()})
+        out = integrate_P(pnf)
         y = 0.5
         got = pnf_value(out, y, nterms=3000)
-        want = mp.quad(lambda t: mp.log(1 + t) / (1 - t) ** 2, [0, y])
+        want = mp.quad(lambda t: mp.log(1 + t) / (t * (1 - t) ** 2), [0, y])
+        assert abs(got - complex(want)) < 1e-8
+
+    def test_dt_over_t_double_pole_on_a_dt_over_t_word(self):
+        # I(t; 0, w_{-1}) = -Li2(-t): the pole integral of a word that
+        # starts with dt/t
+        pnf = PNormalForm({((W1, 2), (W0, WM1)): ZExpression.one()})
+        out = integrate_P(pnf)
+        y = 0.5
+        got = pnf_value(out, y, nterms=3000)
+        want = mp.quad(lambda t: -mp.polylog(2, -t) / (t * (1 - t) ** 2),
+                       [0, y])
         assert abs(got - complex(want)) < 1e-8
 
     def test_dt_over_t_prepends_letter(self):
         pnf = PNormalForm({((None, 0), (W1,)): ZExpression.one()})
-        out = integrate_P(pnf, kernel=("t",))
+        out = integrate_P(pnf)
         assert set(out.terms) == {((None, 0), (W0, W1))}
 
     def test_dt_over_t_with_pole_cancellation(self):
         # (1/(1-t) - 1)/t integrates to -log(1-y)
         pnf = PNormalForm({((W1, 1), ()): ZExpression.one(),
                            ((None, 0), ()): -ZExpression.one()})
-        out = integrate_P(pnf, kernel=("t",))
+        out = integrate_P(pnf)
         y = 0.6
         got = pnf_value(out, y, nterms=3000)
         assert abs(got - (-math.log(1 - y))) < 1e-10
 
     def test_dt_over_t_divergent_at_zero(self):
         with pytest.raises(DivergentResult):
-            integrate_P(PNormalForm.one(), kernel=("t",))
+            integrate_P(PNormalForm.one())
 
 
 class TestGermsAndRegularization:

@@ -118,7 +118,7 @@ class TestUniFactorize:
             else:
                 exps = (0, 1)
             factors.append(FactorTerm(random_root(rnd), exps, 1, 1))
-        return Integrand(ONE, factors, 2, tag="D")
+        return Integrand(ONE, factors, 2)
 
     def test_value_preserved_and_uni_100_random(self):
         rnd = random.Random(40)
