@@ -15,9 +15,8 @@ from .rewrite import (FactorTerm, Integrand, ReductionTrace,
                       integral_expression, convergence_check,
                       change_coordinates, uni_factorize,
                       reduce_to_univariate)
-from .polylog import (PNormalForm, ZExpression, MZVSymbol,
-                      RegularizedExpansion, DivergentResult, shuffle,
-                      multiply_factor, integrate_P, regularize_limit,
+from .polylog import (PNormalForm, ZExpression, MZVSymbol, DivergentResult,
+                      shuffle, multiply_factor, integrate_P, regularize_limit,
                       word_value_series, mzv_symbol_from_word)
 from .pipeline import (reduce_cone_zeta, execute_recipe, ReductionResult,
                        PieceLimitExceeded)

@@ -7,9 +7,9 @@ Commands:
 Flags: --precision <0..10>, --trace <path>, --seed <u64>, --max-pieces <n>;
 they override the job's options block and are validated like it.
 Exit codes: 0 pass, 2 verification fail, 3 validation error (a bad job, flag
-value or command line), 4 divergent, 5 internal error (a RuntimeError or
-AssertionError inside the reduction) or unsupported request (verify beyond
-the dimensions direct summation handles).
+value, trace path or command line), 4 divergent, 5 internal error (a
+RuntimeError or AssertionError inside the reduction) or unsupported request
+(verify of a cone that is not full-dimensional or of ambientDim above 2).
 """
 
 import argparse
@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .exact import LatticeCharacter, rational_to_str, rational_from_str
-from .geometry import LinearForm
+from .geometry import Cone, LinearForm
 from .pipeline import reduce_cone_zeta, PieceLimitExceeded
 from .polylog import DivergentResult
 from .numeric import (eval_zexpr, eval_cone_zeta, zexpr_zero_check,
@@ -194,11 +194,13 @@ def run_job(job, mode, precision=None, trace_path=None, seed=0,
     if mode == "verify" and job["m"] > DIRECT_MAX_DIM:
         raise UnsupportedJob("verify: direct summation supports ambientDim "
                              "<= %d, got %d" % (DIRECT_MAX_DIM, job["m"]))
+    if mode == "verify" and Cone(job["generators"]).dim < job["m"]:
+        raise UnsupportedJob("verify: direct summation needs a "
+                             "full-dimensional cone")
     tol = 10.0 ** (-(precision if precision is not None else 6))
-    tol = max(tol, 1e-10)
     result = reduce_cone_zeta(
         job["generators"], job["forms"], character=job["character"],
-        check_zero=zexpr_zero_check(tol=max(tol, 1e-8)),
+        check_zero=zexpr_zero_check(),
         max_pieces=max_pieces, collect_trace=trace_path is not None)
     sym = eval_zexpr(result.value)
     report = {
@@ -273,7 +275,7 @@ def main(argv=None):
         print(json.dumps({"error": "DIVERGENT", "message": str(e)},
                          sort_keys=True))
         return EXIT_DIVERGENT
-    except (PieceLimitExceeded, ValueError) as e:
+    except (PieceLimitExceeded, ValueError, OSError) as e:
         print(json.dumps({"error": "VALIDATION", "message": str(e)},
                          sort_keys=True))
         return EXIT_VALIDATION

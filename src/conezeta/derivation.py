@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .geometry import Cone, LinearForm, SimplicialCone, refine_definite
-from .linalg import primitive_int_vector, primitive_ray, solve_consistent
+from .linalg import primitive_int_vector, solve_consistent
 
 
 class DerivedSequence:
@@ -153,17 +153,9 @@ def build_derived_sequences(C, S):
     """
     forms = [f if isinstance(f, LinearForm) else LinearForm(f) for f in S]
     out = []
+    # the branch generators are primitive rays already
     for gens, levels in _derive_branches(list(C.generators), forms):
-        # normalize generators to primitive rays; level entry t of level i
-        # is a value on generator i+t and scales along with it
-        prim = [primitive_ray(g) for g in gens]
-        lam = []
-        for g, p in zip(gens, prim):
-            i = next(i for i, x in enumerate(p) if x != 0)
-            lam.append(Fraction(g[i]) / Fraction(p[i]))
-        levels = [[tuple(Fraction(x) / lam[i + t] for t, x in enumerate(v))
-                   for v in level] for i, level in enumerate(levels)]
-        ds = DerivedSequence(SimplicialCone(prim), levels)
+        ds = DerivedSequence(SimplicialCone(gens), levels)
         errs = ds.validate()
         if errs:
             raise AssertionError("invalid derived sequence: %s" % errs)

@@ -94,10 +94,6 @@ def span_integer_lattice(generators):
 # ---------------------------------------------------------------------------
 # cones
 
-def _lex_key(v):
-    return tuple(v)
-
-
 class Cone:
     """Polyhedral cone spanned by finitely many integer generators."""
 
@@ -166,7 +162,7 @@ class Cone:
             tight = [n for n in normals if dot(n, p) == 0]
             if tight and mat_rank(tight) == d - 1:
                 rays.append(g)
-        self._rays = tuple(sorted(set(rays), key=_lex_key))
+        self._rays = tuple(sorted(set(rays)))
         return self._rays
 
     def _signs(self, x):
@@ -230,7 +226,7 @@ def _pulling(rays):
     """Pulling triangulation: join lex-first ray with facets avoiding it."""
     cone = Cone(rays)
     d = cone.dim
-    rays = sorted(set(cone.extreme_rays()), key=_lex_key)
+    rays = sorted(set(cone.extreme_rays()))
     if len(rays) == d:
         return [SimplicialCone(rays)]
     v0 = rays[0]
@@ -252,8 +248,7 @@ def triangulate(C):
     generators are its extreme rays, so no facet search is needed.
     """
     if len(C.generators) == C.dim:
-        return [SimplicialCone(sorted(map(primitive_ray, C.generators),
-                                      key=_lex_key))]
+        return [SimplicialCone(sorted(map(primitive_ray, C.generators)))]
     if not C.is_pointed():
         raise ValueError("cone contains a line; only pointed cones are supported")
     return _pulling(list(C.generators))

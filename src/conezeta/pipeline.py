@@ -14,7 +14,7 @@ integration with regularization at 1.
 
 from fractions import Fraction
 
-from .exact import (CycloNumber, LatticeCharacter, restrict_character,
+from .exact import (LatticeCharacter, restrict_character,
                     induced_character_decompose)
 from .geometry import (Cone, SimplicialCone, LinearForm,
                        open_simplicial_decomposition, free_superlattice)
@@ -24,8 +24,6 @@ from .rewrite import (Integrand, integral_expression, convergence_check,
                       reduce_to_univariate, ReductionTrace)
 from .polylog import (PNormalForm, ZExpression, multiply_factor, integrate_P,
                       regularize_limit, mzv_symbol_from_word, DivergentResult)
-
-ONE = CycloNumber.from_rational(1, 1)
 
 
 class PieceLimitExceeded(Exception):
@@ -50,9 +48,8 @@ def execute_recipe(node, check_zero=None):
     if op == "int":
         return integrate_P(execute_recipe(node[1], check_zero), check_zero)
     if op == "const":
-        val, _ = regularize_limit(execute_recipe(node[1], check_zero),
-                                  check_zero)
-        return PNormalForm.constant(val)
+        return PNormalForm.constant(regularize_limit(
+            execute_recipe(node[1], check_zero), check_zero))
     raise ValueError("unknown recipe node %r" % (op,))
 
 
@@ -136,7 +133,7 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
         for chi in induced_character_decompose(lbar, chi_l):
             stats["characters"] += 1
             I = integral_expression(free_gens, forms, chi)
-            I = I.scaled(CycloNumber.from_rational(Fraction(1, kappa), 1))
+            I = I.scaled(Fraction(1, kappa))
             total = total + _reduce_integrand(I, trace, check_zero, stats)
     return ReductionResult(total, stats, trace)
 
@@ -159,8 +156,7 @@ def _reduce_integrand(I, trace, check_zero, stats):
         stats["distinct_integrands"] += 1
         IU = Integrand(coeff, factors, nvars)
         fn = fn + integrand_function(IU, check_zero, trace)
-    value, _ = regularize_limit(fn, check_zero)
-    return value
+    return regularize_limit(fn, check_zero)
 
 
 def _uni_terms(I, trace, stats):

@@ -102,8 +102,6 @@ class ZExpression:
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, Fraction) or isinstance(c, int):
-            c = CycloNumber.from_rational(c, 1)
         return ZExpression({w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other):
@@ -115,8 +113,7 @@ class ZExpression:
             for w2, c2 in other.terms.items():
                 c = c1 * c2
                 for w, mult in shuffle(w1, w2).items():
-                    s = out.get(w, ZERO) + c * CycloNumber.from_rational(mult, 1)
-                    out[w] = s
+                    out[w] = out.get(w, ZERO) + c * mult
         return ZExpression(out)
 
     def is_zero(self):
@@ -192,14 +189,6 @@ def mzv_symbol_from_word(word):
 # ---------------------------------------------------------------------------
 # P-normal forms
 
-def _as_zexpr(c):
-    if isinstance(c, ZExpression):
-        return c
-    if isinstance(c, (int, Fraction)):
-        c = CycloNumber.from_rational(c, 1)
-    return ZExpression.from_cyclo(c)
-
-
 class PNormalForm:
     """Linear combination of (1-e*y)^(-m) * I(y; w) with ZExpression
     coefficients.  Keys are ((e, m), word) with (None, 0) for the pole-free
@@ -223,8 +212,8 @@ class PNormalForm:
         return PNormalForm({((None, 0), ()): ZExpression.one()})
 
     @staticmethod
-    def constant(c):
-        return PNormalForm({((None, 0), ()): _as_zexpr(c)})
+    def constant(z):
+        return PNormalForm({((None, 0), ()): z})
 
     def _add_term(self, pole, word, coeff):
         key = (pole, tuple(word))
@@ -242,7 +231,8 @@ class PNormalForm:
         return out
 
     def scale(self, c):
-        c = _as_zexpr(c)
+        """Multiply by a CycloNumber or, through the shuffle product, by a
+        ZExpression."""
         out = PNormalForm()
         for (pole, word), x in self.terms.items():
             out._add_term(pole, word, x * c)
@@ -391,8 +381,7 @@ def _int_pole(b, nu, word):
         raise ValueError("pole power must be positive")
     if nu == 1:
         return PNormalForm({((None, 0), (b,) + word): ZExpression.one()})
-    pref = b.inverse().to_cyclo() * CycloNumber.from_rational(
-        Fraction(1, nu - 1), 1)
+    pref = b.inverse().to_cyclo() * Fraction(1, nu - 1)
     if not word:
         # closed form ((1-by)^(1-nu) - 1)/(b(nu-1))
         return PNormalForm({((b, nu - 1), ()): ZExpression.from_cyclo(pref),
@@ -502,8 +491,7 @@ def _pole_germ(e, m, order):
     for t in range(order + 1):
         out[t] = cur
         # binomial(m+t, t+1)/binomial(m-1+t, t) = (m+t)/(t+1)
-        cur = cur * ratio * CycloNumber.from_rational(
-            Fraction(m + t, t + 1), 1)
+        cur = cur * ratio * Fraction(m + t, t + 1)
     return out
 
 
@@ -554,29 +542,11 @@ def word_germ(word, order):
     return out
 
 
-class RegularizedExpansion:
-    """Germ of a normal form at y=1 in powers of s=1-y and T=-log(1-y)."""
-
-    __slots__ = ("layers",)
-
-    def __init__(self, layers):
-        self.layers = {k: v for k, v in layers.items() if not v.is_zero()}
-
-    def value(self):
-        return self.layers.get((0, 0), ZExpression.zero())
-
-    def violations(self):
-        """Coefficients that must vanish for a finite limit at y=1."""
-        return {k: v for k, v in self.layers.items()
-                if (k[0] < 0) or (k[0] == 0 and k[1] > 0)}
-
-
 def regularize_limit(pnf, check_zero=None):
-    """Limit of a normal form as y -> 1.
+    """Limit of a normal form as y -> 1, as a ZExpression.
 
-    Returns (ZExpression value, RegularizedExpansion).  Raises
-    DivergentResult if a pole or logarithmic coefficient does not vanish
-    (structurally, or via the `check_zero` callback).
+    Raises DivergentResult if a pole or logarithmic coefficient of the germ
+    at y=1 does not vanish (structurally, or via the `check_zero` callback).
     """
     J = 0
     for ((e, m), _w), _c in pnf.terms.items():
@@ -593,9 +563,9 @@ def regularize_limit(pnf, check_zero=None):
                 keyt = (a, i)
                 cur = layers.get(keyt, ZExpression.zero())
                 layers[keyt] = cur + (c * coeff).scale(k)
-    exp = RegularizedExpansion(layers)
-    bad = exp.violations()
+    bad = [v for (a, i), v in layers.items()
+           if (a < 0 or i > 0) and not v.is_zero()]
     if bad:
-        if check_zero is None or not all(check_zero(v) for v in bad.values()):
+        if check_zero is None or not all(check_zero(v) for v in bad):
             raise DivergentResult("nonvanishing singular coefficients at y=1")
-    return exp.value(), exp
+    return layers.get((0, 0), ZExpression.zero())

@@ -287,7 +287,7 @@ def change_coordinates(I, pieces, trace=None):
             split_factor_terms.append(split)
         # expand the product of split combinations
         for combo in itertools.product(*split_factor_terms):
-            coeff = I.coeff * CycloNumber.from_rational(jac, 1)
+            coeff = I.coeff * jac
             factors = []
             for c0, fl in combo:
                 coeff = coeff * c0
@@ -335,7 +335,7 @@ def _numerator_normalize_factor(f):
         out.append((-ONE, neg))
     else:
         for c, g in _numerator_normalize_factor(FactorTerm(f.root, f.exps, f.mu - 1, f.s - 1)):
-            out.append((c * CycloNumber.from_rational(-1, 1), g))
+            out.append((-c, g))
     return out
 
 
@@ -345,24 +345,17 @@ def normalize_term(coeff, factors):
     Returns a list of (coeff, [factors]) with every factor having s=1 (poles)
     or mu=0, s>=1 (pure monomials), at most one factor per (root, exps).
     """
-    merged = _merge_factors(factors)
     terms = [(coeff, [])]
-    for f in merged:
+    for f in _merge_factors(factors):
         expansion = _numerator_normalize_factor(f)
         new_terms = []
         for c0, fl in terms:
             for c1, g in expansion:
                 new_terms.append((c0 * c1, fl + ([g] if g is not None else [])))
         terms = new_terms
-    # merging may be needed again if normalization recreated duplicates
-    out = []
-    for c, fl in terms:
-        m = _merge_factors(fl)
-        if any(f.s > 1 and f.mu > 0 for f in m) or any(f.s == 0 for f in m):
-            out.extend(normalize_term(c, m))
-        else:
-            out.append((c, m))
-    return out
+    # expansion keeps each factor's (root, exps), so the terms stay merged
+    # and key-sorted
+    return terms
 
 
 def partial_fraction_pair(F1, F2):
@@ -645,7 +638,7 @@ def _integrate_slot(coords, P, h, cid, trace):
         return [(ONE, [], _extend_weight(_with_factor(h, P, coords), cid))]
     # mu >= 2: integrate by parts
     nu = P.mu
-    inv = CycloNumber.from_rational(Fraction(1, nu - 1), 1)
+    inv = Fraction(1, nu - 1)
     out = []
     # boundary at y_cid = 1: (1/(1-ep)^(nu-1) - 1)/(nu-1) * h|_{y_cid=1},
     # telescoped into poles of the free monomial p
@@ -683,14 +676,13 @@ def reduce_B(h, vid):
            for c, obj in reduce_B(g, vid)]
     cexp = 0 if L is None else L.exps[h.coords.index(vid)]
     if cexp != 0:
-        cc = CycloNumber.from_rational(cexp, 1)
         # boundary of int c*u/(1-u)^2 g dy/y at y_cid = 1
         p_exps, bcoef, gb = _boundary(L, g, cid, h.coords)
-        out.append((cc * bcoef, _with_factor(
+        out.append((cexp * bcoef, _with_factor(
             gb, FactorTerm(L.root, p_exps, 1, 1), h.coords)))
         # minus int c*u/(1-u) (y_cid d/dy_cid g) dy/y
         for cD, obj in reduce_B(g, cid):
-            out.append((-cc * cD,
+            out.append((-cexp * cD,
                         _extend_weight(_with_factor(obj, L, h.coords), cid)))
     return out
 

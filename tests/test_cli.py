@@ -1,9 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from conezeta import cli
+from conezeta.exact import CycloNumber
+from conezeta.numeric import zexpr_zero_check
+from conezeta.polylog import ZExpression
 from conezeta.cli import (main, parse_job, ValidationError, EXIT_PASS,
                           EXIT_VERIFY_FAIL, EXIT_VALIDATION, EXIT_DIVERGENT,
                           EXIT_INTERNAL)
@@ -181,6 +185,7 @@ class TestMain:
         (["reduce", "--no-such-flag"], "--no-such-flag"),
         (["reduce", "--precision", "11"], "--precision"),
         (["reduce", "--seed", str(2 ** 64)], "--seed"),
+        (["reduce", "--trace", "/nonexistent/dir/t.json"], "nonexistent"),
     ])
     def test_bad_command_line_is_one_validation_line(self, tmp_path, capsys,
                                                      args, named):
@@ -195,6 +200,7 @@ class TestMain:
     @pytest.mark.parametrize("options, named", [
         ({"precision": 11}, "options.precision"),
         ({"seed": 2 ** 64}, "options.seed"),
+        ({"trace": "."}, "directory"),
     ])
     def test_out_of_range_option_is_one_validation_line(self, tmp_path,
                                                         capsys, options,
@@ -232,6 +238,19 @@ class TestMain:
         assert main(["reduce", path, "--trace", str(tp)]) == EXIT_PASS
         doc = json.loads(tp.read_text())
         assert isinstance(doc["steps"], list)
+
+    def test_zero_check_does_not_follow_precision(self, monkeypatch):
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(zexpr_zero_check(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "zexpr_zero_check", recording)
+        cli.run_job(parse_job(zeta2_job()), "reduce", precision=0)
+        small = ZExpression.from_cyclo(CycloNumber.from_rational(
+            Fraction(1, 1000)))
+        assert made and not made[-1](small)
 
     def test_deterministic_report_bytes(self, tmp_path, capsys):
         doc = zeta2_job()
@@ -280,3 +299,22 @@ class TestMain:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "UNSUPPORTED"
         assert "ambientDim" in err["message"]
+
+    @pytest.mark.parametrize("generators", [[[1, 1]], [[1, 0], [2, 0]]],
+                             ids=["ray", "collinear"])
+    def test_verify_lower_dimensional_unsupported_before_reducing(
+            self, tmp_path, capsys, monkeypatch, generators):
+        doc = {"ambientDim": 2, "cone": {"generators": generators},
+               "forms": [[1, 0], [1, 1]]}
+        path = write_job(tmp_path, doc)
+        assert main(["reduce", path]) == EXIT_PASS
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("verify reduced an unsupported job")
+
+        monkeypatch.setattr(cli, "reduce_cone_zeta", fail)
+        assert main(["verify", path]) == EXIT_INTERNAL
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "UNSUPPORTED"
+        assert "full-dimensional" in err["message"]

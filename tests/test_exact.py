@@ -93,6 +93,24 @@ class TestCycloNumber:
         assert all(type(c) is Fraction for c in inv.coords)
         assert x * inv == 1
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rational_operands_act_as_cyclo_numbers(self, data):
+        # an int or Fraction operand behaves as from_rational(q): same
+        # modulus, same coordinates
+        N = data.draw(st.integers(1, 12))
+        q = data.draw(st.one_of(st.integers(-5, 5), rationals))
+        Q = CycloNumber.from_rational(q)
+        if data.draw(st.booleans()):
+            x = CycloNumber.from_rational(q, N)
+        else:
+            x = CycloNumber(N, data.draw(st.lists(
+                rationals, min_size=euler_phi(N), max_size=euler_phi(N))))
+        for got, want in ((x * q, x * Q), (q * x, Q * x), (x + q, x + Q),
+                          (q + x, Q + x), (x - q, x - Q)):
+            assert (got.N, got.coords) == (want.N, want.coords)
+        assert (x == q) == (x == Q) == (q == x)
+
     def test_equal_numbers_hash_equal_across_fields(self):
         z3, z6sq = CycloNumber.zeta(3, 1), CycloNumber.zeta(6, 2)
         assert z3 == z6sq and hash(z3) == hash(z6sq)

@@ -192,9 +192,8 @@ class TestGermsAndRegularization:
 
     def test_regularize_dilogarithm(self):
         pnf = PNormalForm({((None, 0), (W0, W1)): ZExpression.one()})
-        val, expansion = regularize_limit(pnf)
+        val = regularize_limit(pnf)
         assert set(val.terms) == {(W0, W1)}
-        assert not expansion.violations()
         r = eval_zexpr(val)
         assert abs(r.value - math.pi ** 2 / 6) < 1e-9
 
@@ -218,6 +217,5 @@ class TestGermsAndRegularization:
         pnf = PNormalForm({((W1, 1), (W0, W1)): ZExpression.one(),
                            ((W1, 1), ()): -z2,
                            ((None, 0), (W1,)): ZExpression.one()})
-        val, expansion = regularize_limit(pnf)
-        assert not expansion.violations()
+        val = regularize_limit(pnf)
         assert abs(eval_zexpr(val).value - (-1.0)) < 1e-9
