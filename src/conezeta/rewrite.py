@@ -638,7 +638,8 @@ def _integrate_slot(coords, P, h, cid, trace):
         return [(ONE, [], _extend_weight(_with_factor(h, P, coords), cid))]
     # mu >= 2: integrate by parts
     nu = P.mu
-    inv = Fraction(1, nu - 1)
+    # P = (y d/dy 1/(1-u)^(nu-1)) / (c (nu-1)), c the exponent of y in u
+    inv = Fraction(1, (nu - 1) * P.exps[P.leading()])
     out = []
     # boundary at y_cid = 1: (1/(1-ep)^(nu-1) - 1)/(nu-1) * h|_{y_cid=1},
     # telescoped into poles of the free monomial p
@@ -674,7 +675,9 @@ def reduce_B(h, vid):
                  w - 1)
     out = [(c, _extend_weight(_with_factor(obj, L, h.coords), cid))
            for c, obj in reduce_B(g, vid)]
-    cexp = 0 if L is None else L.exps[h.coords.index(vid)]
+    # y_vid d/dy_vid L = (a_vid / a_cid) y_cid d/dy_cid L for L = u/(1-u)
+    cexp = 0 if L is None else Fraction(L.exps[h.coords.index(vid)],
+                                        L.exps[w - 1])
     if cexp != 0:
         # boundary of int c*u/(1-u)^2 g dy/y at y_cid = 1
         p_exps, bcoef, gb = _boundary(L, g, cid, h.coords)

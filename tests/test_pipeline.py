@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from conezeta.exact import CycloNumber, LatticeCharacter, RootOfUnity
@@ -170,3 +172,54 @@ class TestReductionPaths:
         got = eval_zexpr(value).value
         want = quad_check(I, maxdegree=maxdegree)
         assert abs(got - want) < 1e-9
+
+
+ONE_ROOT = RootOfUnity(1, 0)
+
+
+class TestBoxIntegralClosedForms:
+    """The box integral of u/(1-u)^mu, u = y^a, against prod dy_i/y_i is
+    the sum over k >= 1 of binom(k+mu-2, mu-1) / prod(a_i k), which is
+    zeta(d-mu+1)/prod(a_i) for mu in {1, 2}.  Exponents other than 1 reach
+    the pole's exponent in every integration by parts."""
+
+    @pytest.mark.parametrize("d, mu", [(2, 1), (3, 1), (3, 2)])
+    def test_single_factor(self, d, mu):
+        check = zexpr_zero_check()
+        wrong = []
+        for a in itertools.product((1, 2, 3), repeat=d):
+            I = Integrand(1, [FactorTerm(ONE_ROOT, a, mu, 1)], d)
+            got = eval_zexpr(regularize_limit(integrand_function(I, check),
+                                              check)).value
+            want = float(mpmath.zeta(d - mu + 1)) / math.prod(a)
+            if abs(got - want) > 1e-10:
+                wrong.append((a, got, want))
+        assert wrong == []
+
+
+# Values from mpmath at 30 digits: each row x2 = t of interior points is
+# summed exactly in x1 by partial fractions (digamma and psi(1, .)), and the
+# rows are added by mpmath.nsum (over each residue class of t mod q for the
+# cone (1,0),(1,q)).  Test ids name the forms: a = (1,0), b = (1,1).
+FORM_ORDER_JOBS = [
+    ([(1, 0), (1, 1)], [(1, 0), (1, 0), (1, 1)], 0.300514225789899),
+    ([(1, 0), (1, 1)], [(1, 1), (1, 1), (1, 0)], 0.207700987014786),
+    ([(1, 0), (1, 1)], [(1, 0), (1, 0), (1, 0), (1, 1)], 0.0805618778468367),
+    ([(1, 0), (1, 2)], [(1, 0), (1, 0), (1, 1)], 1.07979634541279),
+    ([(1, 0), (1, 2)], [(1, 1), (1, 1), (1, 0)], 0.580413598629483),
+    ([(1, 0), (1, 2)], [(1, 0), (1, 0), (1, 0), (1, 1)], 0.669773193008508),
+]
+
+
+class TestFormOrder:
+    """The value of a cone zeta job does not depend on the order of its
+    forms; every ordering must match the row-summed reference."""
+
+    @pytest.mark.parametrize("gens, forms, want", FORM_ORDER_JOBS, ids=[
+        "q1_aab", "q1_bba", "q1_aaab", "q2_aab", "q2_bba", "q2_aaab"])
+    def test_every_ordering_matches_reference(self, gens, forms, want):
+        check = zexpr_zero_check()
+        for order in sorted(set(itertools.permutations(forms))):
+            res = reduce_cone_zeta(gens, list(order), check_zero=check)
+            got = eval_zexpr(res.value).value
+            assert abs(got - want) < 1e-10, (order, got)
