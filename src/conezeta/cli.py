@@ -7,9 +7,10 @@ Commands:
 Flags: --precision <0..10>, --trace <path>, --seed <u64>, --max-pieces <n>;
 they override the job's options block and are validated like it.
 Exit codes: 0 pass, 2 verification fail, 3 validation error (a bad job, flag
-value, trace path or command line), 4 divergent, 5 internal error (a
-RuntimeError or AssertionError inside the reduction) or unsupported request
-(verify of a cone that is not full-dimensional or of ambientDim above 2).
+value, trace path or command line, or more pieces than --max-pieces), 4
+divergent, 5 internal error (a RuntimeError, AssertionError or ValueError
+inside the reduction) or unsupported request (verify of a cone that is not
+full-dimensional or of ambientDim above 2).
 """
 
 import argparse
@@ -119,6 +120,12 @@ def parse_job(doc):
             out_row.append(int(q))
         parsed.append(out_row)
     gens = parsed
+    if not all(any(g) for g in gens):
+        raise ValidationError("cone.generators must be nonzero vectors")
+    C = Cone(gens)
+    # independent generators span a pointed cone
+    if len(C.generators) > C.dim and not C.is_pointed():
+        raise ValidationError("cone must be pointed: it contains a line")
     fms = []
     for row in _matrix_rows(doc["forms"], m, "forms"):
         fms.append(LinearForm([_parse_rational(x, "forms") for x in row]))
@@ -197,6 +204,9 @@ def run_job(job, mode, precision=None, trace_path=None, seed=0,
     if mode == "verify" and Cone(job["generators"]).dim < job["m"]:
         raise UnsupportedJob("verify: direct summation needs a "
                              "full-dimensional cone")
+    if trace_path is not None:
+        # an unwritable trace path fails here, not after the reduction
+        open(trace_path, "a").close()
     tol = 10.0 ** (-(precision if precision is not None else 6))
     result = reduce_cone_zeta(
         job["generators"], job["forms"], character=job["character"],
@@ -275,7 +285,7 @@ def main(argv=None):
         print(json.dumps({"error": "DIVERGENT", "message": str(e)},
                          sort_keys=True))
         return EXIT_DIVERGENT
-    except (PieceLimitExceeded, ValueError, OSError) as e:
+    except (PieceLimitExceeded, OSError) as e:
         print(json.dumps({"error": "VALIDATION", "message": str(e)},
                          sort_keys=True))
         return EXIT_VALIDATION
@@ -283,7 +293,7 @@ def main(argv=None):
         print(json.dumps({"error": "UNSUPPORTED", "message": str(e)},
                          sort_keys=True))
         return EXIT_INTERNAL
-    except (RuntimeError, AssertionError) as e:
+    except (RuntimeError, AssertionError, ValueError) as e:
         print(json.dumps({"error": "INTERNAL", "type": type(e).__name__,
                           "message": str(e)}, sort_keys=True))
         return EXIT_INTERNAL

@@ -351,12 +351,13 @@ def restrict_character(chi, basis):
 
 
 def induced_character_decompose(L, chi):
-    """All extensions of `chi` (on a finite-index sublattice) to lattice L.
+    """All extensions of `chi` (on a finite-index sublattice) to the lattice
+    with basis rows L.
 
     Returns the list of kappa = [L : L'] characters chi_i on L such that
     sum_i chi_i(x) = kappa * chi(x) for x in L' and 0 for x in L \\ L'.
     """
-    Lbasis = [list(row) for row in getattr(L, "basis", L)]
+    Lbasis = [list(row) for row in L]
     sub_basis = [list(row) for row in chi.basis]
     if len(sub_basis) != len(Lbasis):
         raise ValueError("lattices must have equal rank")

@@ -130,7 +130,7 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
              "uni_terms": 0, "distinct_integrands": 0}
     for face, L, lbar, free_gens, kappa in prepared:
         chi_l = restrict_character(character, L.basis)
-        for chi in induced_character_decompose(lbar, chi_l):
+        for chi in induced_character_decompose(lbar.basis, chi_l):
             stats["characters"] += 1
             I = integral_expression(free_gens, forms, chi)
             I = I.scaled(Fraction(1, kappa))

@@ -305,18 +305,15 @@ def _fold_y(j, pole_multiset):
             continue
         b = next(r for r, m in poles.items() if m > 0)
         binv = b.inverse().to_cyclo()
-        # y (1-by)^(-m) = (1/b) [(1-by)^(-m) - (1-by)^(-m+1)]
+        # y (1-by)^(-m) = (1/b) [(1-by)^(-m) - (1-by)^(-m+1)]; both items
+        # keep jj <= sum(m), since jj drops by one and sum(m) by at most one
         p1 = dict(poles)
         work.append((c * binv, jj - 1, p1))
         p2 = dict(poles)
         p2[b] -= 1
         if p2[b] == 0:
             del p2[b]
-        if jj - 1 <= sum(p2.values()):
-            work.append((c * (-binv), jj - 1, p2))
-        # else: dropping this branch would lose mass; it cannot be folded
-        elif not (c * (-binv)).is_zero():
-            raise AssertionError("cannot fold numerator power")
+        work.append((c * (-binv), jj - 1, p2))
     return out
 
 

@@ -208,19 +208,14 @@ def integral_expression(generators, forms, chi):
     return Integrand(coeff, factors, n)
 
 
-def convergence_check(generators_or_d, forms):
+def convergence_check(generators, forms):
     """Criterion for absolute convergence of the free-semigroup sum.
 
     For every nonempty subset J of generator coordinates, the number of forms
     involving at least one coordinate of J must exceed |J|.
     """
-    if isinstance(generators_or_d, int):
-        d = generators_or_d
-        mat = [[Fraction(c) for c in f] for f in forms]
-    else:
-        gens = generators_or_d
-        d = len(gens)
-        mat = [[Fraction(f(g)) for g in gens] for f in forms]
+    d = len(generators)
+    mat = [[Fraction(f(g)) for g in generators] for f in forms]
     for r in range(1, d + 1):
         for J in itertools.combinations(range(d), r):
             cnt = sum(1 for row in mat if any(row[j] != 0 for j in J))
@@ -487,13 +482,14 @@ TRACEABLE_RULES = {
 # ---------------------------------------------------------------------------
 # weight descent: reduce a uni-factor integral to one-variable kernel recipes
 #
-# Objects track an ordered tuple of coordinate ids; the first `weight`
-# positions are integrated over (0,1) with dy/y measure, the rest are free.
-# A simple object has at most one pole factor per integrated slot, each with
-# mu = 1 and s = 1, and no factors leading at free slots.  reduce_A,
-# _integrate_slot and reduce_B recurse only on objects of strictly smaller
-# weight, so the recursion terminates.  An integration by parts in an
-# integrated slot y leaves a boundary term at y = 1 (_boundary).
+# Objects track an ordered tuple of the coordinate ids still present; the
+# first `weight` of them are integrated over (0,1) with dy/y measure, the
+# rest are free.  Every factor keeps the integrand's full exponent tuple,
+# zero at each coordinate already set to 1, so leading() is a coordinate id.
+# A simple object has at most one pole factor per integrated coordinate,
+# each with mu = 1 and s = 1, and no factors leading at free coordinates.
+# reduce_A, _integrate_slot and reduce_B recurse only on objects of strictly
+# smaller weight, so the recursion terminates.
 
 class UFObject:
     """Partially integrated product of factors."""
@@ -504,14 +500,15 @@ class UFObject:
         self.coords = tuple(coords)
         self.factors = tuple(factors)
         self.weight = int(weight)
+        kept = set(self.coords)
         for f in self.factors:
-            if len(f.exps) != len(self.coords):
-                raise ValueError("factor arity mismatch")
+            if any(x and i not in kept for i, x in enumerate(f.exps)):
+                raise AssertionError("factor involves a deleted coordinate")
 
     def is_simple(self):
         slots = [f.leading() for f in self.factors]
         return (len(slots) == len(set(slots))
-                and all(s < self.weight for s in slots)
+                and set(slots) <= set(self.coords[:self.weight])
                 and all(f.mu == 1 and f.s == 1 for f in self.factors))
 
     def __repr__(self):
@@ -519,37 +516,13 @@ class UFObject:
                                            list(self.factors), self.weight)
 
 
-def _embed_exps(exps, sub_coords, coords):
-    """Re-index an exponent tuple from sub_coords into coords positions."""
-    pos = {cid: i for i, cid in enumerate(coords)}
-    out = [0] * len(coords)
-    for cid, x in zip(sub_coords, exps):
-        out[pos[cid]] = x
-    return tuple(out)
-
-
-def _project_factor(f, coords, sub_coords):
-    """Restrict a factor from coords to sub_coords; dropped ids must have
-    zero exponent."""
-    pos = {cid: i for i, cid in enumerate(coords)}
-    out = []
-    for cid in sub_coords:
-        out.append(f.exps[pos[cid]])
-    kept = set(sub_coords)
-    for cid, x in zip(coords, f.exps):
-        if cid not in kept and x != 0:
-            raise AssertionError("factor involves a deleted coordinate")
-    return FactorTerm(f.root, out, f.mu, f.s)
-
-
 def _restrict_object(obj, cid):
     """Substitute y_cid = 1 (delete the coordinate): (coeff, object)."""
     pos = obj.coords.index(cid)
-    new_coords = obj.coords[:pos] + obj.coords[pos + 1:]
     new_factors = []
     coeff = ONE
     for f in obj.factors:
-        exps = f.exps[:pos] + f.exps[pos + 1:]
+        exps = f.exps[:cid] + (0,) + f.exps[cid + 1:]
         if all(x == 0 for x in exps):
             if f.root.is_one():
                 raise AssertionError("pole at 1 in a face restriction")
@@ -561,103 +534,90 @@ def _restrict_object(obj, cid):
         else:
             new_factors.append(FactorTerm(f.root, exps, f.mu, f.s))
     w = obj.weight - 1 if pos < obj.weight else obj.weight
-    return coeff, UFObject(new_coords, new_factors, w)
+    return coeff, UFObject(obj.coords[:pos] + obj.coords[pos + 1:],
+                           new_factors, w)
 
 
-def _boundary(f, obj, cid, coords):
-    """The y_cid = 1 end of an integration by parts in y_cid: the exponents
-    of the factor f (on `coords`) with y_cid's set to 0, and the coefficient
-    and object of obj restricted to y_cid = 1."""
-    pos = coords.index(cid)
-    exps = f.exps[:pos] + (0,) + f.exps[pos + 1:]
-    if all(x == 0 for x in exps):
-        raise AssertionError("pure pole factor cannot reach the boundary")
-    return (exps,) + _restrict_object(obj, cid)
-
-
-def _extend_weight(obj, cid):
-    """Integrate the first free coordinate, which must be cid, and require
-    the numerator to be divisible by it."""
+def _extend_weight(obj, f, cid):
+    """Adjoin the factor f (None adjoins nothing) and integrate the first
+    free coordinate, which must be cid; the numerator must be divisible by
+    it."""
     if obj.coords[obj.weight] != cid:
         raise AssertionError("integration coordinate out of order")
-    if all(f.exps[obj.weight] == 0 for f in obj.factors if f.s > 0):
+    factors = obj.factors if f is None else obj.factors + (f,)
+    if all(g.exps[cid] == 0 for g in factors if g.s > 0):
         raise AssertionError("divergent integration: numerator not "
                              "divisible by the integration variable")
-    return UFObject(obj.coords, obj.factors, obj.weight + 1)
-
-
-def _with_factor(obj, f, coords):
-    """Adjoin a factor given on `coords` to an object on a sub-coordinate
-    tuple; a factor None leaves the object as it is."""
-    if f is None:
-        return obj
-    g = _project_factor(f, coords, obj.coords)
-    return UFObject(obj.coords, obj.factors + (g,), obj.weight)
+    return UFObject(obj.coords, factors, obj.weight + 1)
 
 
 def reduce_A(coords, factors, w, trace=None):
     """Express the integral over the first w coordinates of prod(factors) as
-    sum coeff * M * h with M a list of factors leading at free slots and h a
-    simple object of weight <= w.
-
-    Returns a list of (coeff, M, h): M factors are given on `coords`, the
-    simple object h on its own (possibly smaller) coordinate tuple.
+    sum coeff * M * h with M a list of factors leading at free coordinates
+    and h a simple object of weight <= w.  Returns a list of (coeff, M, h).
     """
     if w == 0:
-        h = UFObject(coords, (), 0)
-        return [(ONE, list(factors), h)]
-    slot = w - 1
-    cid = coords[slot]
+        return [(ONE, list(factors), UFObject(coords, (), 0))]
+    cid = coords[w - 1]
     out = []
-    low = [f for f in factors if f.leading() < slot]
-    slotf = [f for f in factors if f.leading() == slot]
-    high = [f for f in factors if f.leading() > slot]
+    low = [f for f in factors if f.leading() < cid]
+    slotf = [f for f in factors if f.leading() == cid]
+    high = [f for f in factors if f.leading() > cid]
     for c1, M1, h in reduce_A(coords, low, w - 1, trace):
-        slot_parts = slotf + [m for m in M1 if m.leading() == slot]
-        high1 = high + [m for m in M1 if m.leading() > slot]
-        for c2, fl2 in _pair_reduce([(ONE, slot_parts)], slot, trace):
-            poles = [f for f in fl2 if f.leading() == slot]
-            Mh = high1 + [f for f in fl2 if f.leading() > slot]
+        slot_parts = slotf + [m for m in M1 if m.leading() == cid]
+        high1 = high + [m for m in M1 if m.leading() > cid]
+        for c2, fl2 in _pair_reduce([(ONE, slot_parts)], cid, trace):
+            poles = [f for f in fl2 if f.leading() == cid]
+            Mh = high1 + [f for f in fl2 if f.leading() > cid]
             coef = c1 * c2
             P = poles[0] if poles else None
-            for c3, M3, h3 in _integrate_slot(coords, P, h, cid, trace):
+            for c3, M3, h3 in _integrate_slot(P, h, cid, trace):
                 out.append((coef * c3, Mh + M3, h3))
     return out
 
 
-def _integrate_slot(coords, P, h, cid, trace):
+def _integrate_slot(P, h, cid, trace):
     """Integrate (0,1) in y_cid of P(y) * h(y, frees) dy/y.
 
-    P is the unique pole factor leading at y_cid on `coords` (or None); h is
-    a simple object whose first free coordinate is cid.  Returns a list of
+    P is the unique pole factor leading at y_cid (or None); h is a simple
+    object whose first free coordinate is cid.  Returns a list of
     (coeff, M, h') in the sense of reduce_A.
     """
     if P is not None and (P.s != 1 or P.mu < 1):
         raise AssertionError("unnormalized slot factor")
     if P is None or P.mu == 1:
-        return [(ONE, [], _extend_weight(_with_factor(h, P, coords), cid))]
-    # mu >= 2: integrate by parts
-    nu = P.mu
-    # P = (y d/dy 1/(1-u)^(nu-1)) / (c (nu-1)), c the exponent of y in u
-    inv = Fraction(1, (nu - 1) * P.exps[P.leading()])
-    out = []
-    # boundary at y_cid = 1: (1/(1-ep)^(nu-1) - 1)/(nu-1) * h|_{y_cid=1},
-    # telescoped into poles of the free monomial p
-    p_exps, bc, hb = _boundary(P, h, cid, coords)
-    for t in range(1, nu):
-        out.append((inv * bc, [FactorTerm(P.root, p_exps, t, 1)], hb))
-    # derivative term: -1/(nu-1) * sum_t int u/(1-u)^t (y d/dy h) dy/y
-    for cD, obj in reduce_B(h, cid):
-        for t in range(1, nu):
-            Pt = FactorTerm(P.root, P.exps, t, 1)
-            ext = _extend_weight(_with_factor(obj, Pt, coords), cid)
-            for c3, M3, h3 in reduce_A(ext.coords, list(ext.factors),
-                                       ext.weight, trace):
-                M3e = [FactorTerm(m.root,
-                                  _embed_exps(m.exps, ext.coords, coords),
-                                  m.mu, m.s) for m in M3]
-                out.append((-inv * cD * c3, M3e, h3))
+        return [(ONE, [], _extend_weight(h, P, cid))]
+    boundary, derivative = _by_parts(P, P.mu, h, cid, 1)
+    out = [(c, [F], hb) for c, F, hb in boundary]
+    for c, ext in derivative:
+        for c3, M3, h3 in reduce_A(ext.coords, list(ext.factors),
+                                   ext.weight, trace):
+            out.append((c * c3, M3, h3))
     return out
+
+
+def _by_parts(P, nu, h, cid, scale):
+    """Integrate u/(1-u)^nu * h against dy/y over (0,1) by parts, y = y_cid
+    and u = e*y^a the monomial of the factor P, times the rational scale:
+
+        ([F h]_{y=1} - int F (y d/dy h) dy/y) / (c (nu - 1)),
+
+    F = sum_{t<nu} u/(1-u)^t and c = a_cid.  Returns the boundary terms as
+    (coeff, t-th term of F at y = 1, h at y = 1) and the derivative terms as
+    (coeff, object integrating the t-th term of F against y d/dy h).
+    """
+    inv = Fraction(scale, (nu - 1) * P.exps[cid])
+    exps = P.exps[:cid] + (0,) + P.exps[cid + 1:]
+    if all(x == 0 for x in exps):
+        raise AssertionError("pure pole factor cannot reach the boundary")
+    bc, hb = _restrict_object(h, cid)
+    bc = inv * bc
+    ts = range(1, nu)
+    boundary = [(bc, FactorTerm(P.root, exps, t, 1), hb) for t in ts]
+    derivative = [(-inv * cD, _extend_weight(
+                       obj, FactorTerm(P.root, P.exps, t, 1), cid))
+                  for cD, obj in reduce_B(h, cid) for t in ts]
+    return boundary, derivative
 
 
 def reduce_B(h, vid):
@@ -670,23 +630,16 @@ def reduce_B(h, vid):
         return []
     cid = h.coords[w - 1]
     # the pole factor leading at y_cid, if any
-    L = next((f for f in h.factors if f.leading() == w - 1), None)
-    g = UFObject(h.coords, [f for f in h.factors if f.leading() != w - 1],
+    L = next((f for f in h.factors if f.leading() == cid), None)
+    g = UFObject(h.coords, [f for f in h.factors if f.leading() != cid],
                  w - 1)
-    out = [(c, _extend_weight(_with_factor(obj, L, h.coords), cid))
-           for c, obj in reduce_B(g, vid)]
-    # y_vid d/dy_vid L = (a_vid / a_cid) y_cid d/dy_cid L for L = u/(1-u)
-    cexp = 0 if L is None else Fraction(L.exps[h.coords.index(vid)],
-                                        L.exps[w - 1])
-    if cexp != 0:
-        # boundary of int c*u/(1-u)^2 g dy/y at y_cid = 1
-        p_exps, bcoef, gb = _boundary(L, g, cid, h.coords)
-        out.append((cexp * bcoef, _with_factor(
-            gb, FactorTerm(L.root, p_exps, 1, 1), h.coords)))
-        # minus int c*u/(1-u) (y_cid d/dy_cid g) dy/y
-        for cD, obj in reduce_B(g, cid):
-            out.append((-cexp * cD,
-                        _extend_weight(_with_factor(obj, L, h.coords), cid)))
+    out = [(c, _extend_weight(obj, L, cid)) for c, obj in reduce_B(g, vid)]
+    if L is not None and L.exps[vid] != 0:
+        # y_vid d/dy_vid L = a_vid u/(1-u)^2, integrated by parts in y_cid
+        boundary, derivative = _by_parts(L, 2, g, cid, L.exps[vid])
+        out.extend((c, UFObject(gb.coords, gb.factors + (F,), gb.weight))
+                   for c, F, gb in boundary)
+        out.extend(derivative)
     return out
 
 
@@ -710,15 +663,15 @@ def reduce_to_univariate(I, trace=None):
 
 
 def _p_recipe(coords, factors, trace=None):
-    d = len(coords)
-    pure = [f for f in factors if f.leading() == d - 1]
-    rest = [f for f in factors if f.leading() < d - 1]
-    if d == 1:
+    last = coords[-1]
+    pure = [f for f in factors if f.leading() == last]
+    rest = [f for f in factors if f.leading() < last]
+    if len(coords) == 1:
         node = ('one',)
     else:
         parts = []
-        for coef, M, h in reduce_A(coords, rest, d - 1, trace):
-            if any(m.leading() < d - 1 for m in M):
+        for coef, M, h in reduce_A(coords, rest, len(coords) - 1, trace):
+            if any(m.leading() < last for m in M):
                 raise AssertionError("free factor at an integrated slot")
             node = _simple_recipe(h, trace)
             if M:
@@ -746,17 +699,14 @@ def _simple_recipe(h, trace=None):
         raise AssertionError("object is not simple")
     if h.weight == 0:
         return ('one',)
-    last = h.weight
+    last = h.coords[-1]
     if all(f.exps[last] == 0 for f in h.factors):
         # constant in the free variable: its value is the full integral,
         # recovered as the regularized limit of the weight-w function
-        sub_coords = h.coords[:-1]
-        sub_factors = [FactorTerm(f.root, f.exps[:-1], f.mu, f.s)
-                       for f in h.factors]
-        inner = _p_recipe(sub_coords, sub_factors, trace)
+        inner = _p_recipe(h.coords[:-1], list(h.factors), trace)
         return ('const', ('int', inner))
     parts = []
-    for c, obj in reduce_B(h, h.coords[last]):
+    for c, obj in reduce_B(h, last):
         if obj.weight != len(obj.coords) - 1:
             raise AssertionError("derivative term is not univariate")
         parts.append((c, _p_recipe(obj.coords, list(obj.factors), trace)))

@@ -25,7 +25,7 @@ from conezeta.polylog import DivergentResult, shuffle, word_germ, \
 from conezeta.pipeline import reduce_cone_zeta
 from conezeta.numeric import eval_zexpr, eval_cone_zeta
 
-from test_rewrite import (random_factor, random_root, as_integrands,
+from test_rewrite import (random_factor, random_root, as_integrands, units,
                           TestPartialFractionPair as _PairHelper,
                           TestConvergenceCheckP3 as _ProbeHelper)
 from test_derivation import random_instance
@@ -154,7 +154,8 @@ class TestProperties:
                 for rows in itertools.combinations_with_replacement(
                         alphabet, n):
                     assert convergence_check(
-                        d, [list(r) for r in rows]) == probe(rows, d), rows
+                        units(d), [LinearForm(r) for r in rows]) \
+                        == probe(rows, d), rows
                     checked += 1
         report("P3", True, "%d form families agree with brute force"
                % checked)

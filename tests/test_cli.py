@@ -82,6 +82,18 @@ class TestParseJob:
         with pytest.raises(ValidationError):
             parse_job(doc)
 
+    @pytest.mark.parametrize("generators, named", [
+        ([[1, 0], [0, 0], [1, 1]], "nonzero"),
+        ([[1, 0], [-1, 0], [0, 1]], "pointed"),
+        ([[1], [-1]], "pointed"),
+    ], ids=["zero_generator", "half_plane", "line"])
+    def test_cone_shape_rejected(self, generators, named):
+        m = len(generators[0])
+        doc = {"ambientDim": m, "cone": {"generators": generators},
+               "forms": [[0] * (m - 1) + [1]] * 3}
+        with pytest.raises(ValidationError, match=named):
+            parse_job(doc)
+
     def test_bad_option_rejected(self):
         doc = zeta2_job()
         doc["options"] = {"precision": "high"}
@@ -271,7 +283,32 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["budgets"]["tolerance"] == 1e-8
 
-    @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+    def test_unwritable_trace_path_fails_before_reducing(self, tmp_path,
+                                                         capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("reduced before checking the trace path")
+
+        monkeypatch.setattr(cli, "reduce_cone_zeta", fail)
+        path = write_job(tmp_path, zeta2_job())
+        trace = str(tmp_path / "missing" / "t.json")
+        assert main(["reduce", path, "--trace", trace]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["error"] == "VALIDATION"
+
+    @pytest.mark.parametrize("exc", [cli.PieceLimitExceeded, OSError])
+    def test_job_limit_and_file_errors_are_validation(self, tmp_path, capsys,
+                                                      monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc("3 pieces > limit 2")
+
+        monkeypatch.setattr(cli, "reduce_cone_zeta", fail)
+        path = write_job(tmp_path, zeta2_job())
+        assert main(["reduce", path]) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().out)
+        assert err == {"error": "VALIDATION", "message": "3 pieces > limit 2"}
+
+    @pytest.mark.parametrize("exc", [RuntimeError, AssertionError, ValueError])
     def test_internal_error_is_typed(self, tmp_path, capsys, monkeypatch,
                                      exc):
         def fail(*args, **kwargs):

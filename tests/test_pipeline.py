@@ -86,7 +86,7 @@ class TestInducedDecomposition:
         lbar, free_gens, kappa = free_superlattice(face, L)
         assert kappa > 1
         chi_l = restrict_character(chi0, L.basis)
-        chars = induced_character_decompose(lbar, chi_l)
+        chars = induced_character_decompose(lbar.basis, chi_l)
         assert len(chars) == kappa
         total = 0j
         direct = 0.0

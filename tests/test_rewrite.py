@@ -32,6 +32,11 @@ def random_factor(rnd, nvars, max_exp=2):
     return FactorTerm(random_root(rnd), exps, mu, s)
 
 
+def units(d):
+    """The unit generators of the coordinate orthant in dimension d."""
+    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+
 def as_integrands(terms, nvars):
     return [Integrand(c, fl, nvars) for c, fl in terms]
 
@@ -269,7 +274,8 @@ class TestConvergenceCheckP3:
             for n in range(1, 5):
                 for rows in itertools.combinations_with_replacement(
                         alphabet, n):
-                    predicted = convergence_check(d, [list(r) for r in rows])
+                    predicted = convergence_check(
+                        units(d), [LinearForm(r) for r in rows])
                     actual = self.brute_force_converges(rows, d)
                     assert predicted == actual, (d, rows)
                     checked += 1
