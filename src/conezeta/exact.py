@@ -101,18 +101,6 @@ def euler_phi(N):
     return len(cyclotomic_poly(N)) - 1
 
 
-@lru_cache(maxsize=None)
-def _mean_traces(N):
-    """Mean of the conjugates of zeta_N^j for j < phi(N): mu(n)/phi(n) with
-    n = N/gcd(N, j), where mu(n), the sum of the primitive n-th roots of
-    unity, is minus the second-highest coefficient of Phi_n."""
-    out = []
-    for j in range(euler_phi(N)):
-        n = N // gcd(N, j)
-        out.append(Fraction(-cyclotomic_poly(n)[-2], euler_phi(n)))
-    return tuple(out)
-
-
 class CycloNumber:
     """Element of Q(zeta_N) in the power basis 1, z, ..., z^(phi(N)-1)."""
 
@@ -223,13 +211,6 @@ class CycloNumber:
         a, b = self._common(other)
         return a.coords == b.coords
 
-    def __hash__(self):
-        # the mean of the conjugates (trace over phi(N)) is the same in
-        # every field Q(zeta_M) containing the number, so equal numbers
-        # hash equal; a rational is its own mean
-        return hash(sum(c * t for c, t in zip(self.coords,
-                                              _mean_traces(self.N))))
-
     def to_complex(self):
         z = cmath.exp(2j * cmath.pi / self.N)
         out = 0j
@@ -306,6 +287,15 @@ def nth_roots(e, n):
 # ---------------------------------------------------------------------------
 # lattice characters
 
+def _lattice_coords(basis, x):
+    """Integer coordinates of the point x in the lattice with basis rows
+    `basis`; ValueError for a point off the lattice."""
+    c = solve_consistent(list(zip(*basis)), list(x))
+    if any(v.denominator != 1 for v in c):
+        raise ValueError("point %r is not in the lattice" % (x,))
+    return [int(v) for v in c]
+
+
 class LatticeCharacter:
     """Finite-order character on a lattice, zeta_N^(c . coords)."""
 
@@ -325,13 +315,7 @@ class LatticeCharacter:
 
     def coords_of(self, x):
         """Integer coordinates of an ambient point in the lattice basis."""
-        cols = [[self.basis[j][i] for j in range(len(self.basis))]
-                for i in range(len(self.basis[0]))]
-        c = solve_consistent(cols, list(x))
-        for v in c:
-            if Fraction(v).denominator != 1:
-                raise ValueError("point %r is not in the lattice" % (x,))
-        return [int(v) for v in c]
+        return _lattice_coords(self.basis, x)
 
     def eval(self, x):
         c = self.coords_of(x)
@@ -361,22 +345,16 @@ def induced_character_decompose(L, chi):
     sub_basis = [list(row) for row in chi.basis]
     if len(sub_basis) != len(Lbasis):
         raise ValueError("lattices must have equal rank")
-    # coordinates of the sublattice basis in the L basis (must be integers)
-    cols = [[Fraction(Lbasis[j][i]) for j in range(len(Lbasis))]
-            for i in range(len(Lbasis[0]))]
-    M = []
-    for b in sub_basis:
-        c = solve_consistent(cols, b)
-        if any(Fraction(v).denominator != 1 for v in c):
-            raise ValueError("character lattice is not a sublattice of L")
-        M.append([int(v) for v in c])
-    _, S, V = smith_normal_form(M)
+    # coordinates of the sublattice basis in the L basis
+    M = [_lattice_coords(Lbasis, b) for b in sub_basis]
+    S, V = smith_normal_form(M)
     d = len(M)
     divisors = [S[i][i] for i in range(d)]
     if any(di == 0 for di in divisors):
         raise ValueError("sublattice does not have finite index in L")
-    # adapted basis C of L: sub = M . Lbasis and M = U^{-1} S V^{-1}, so
-    # with C = V^{-1} . Lbasis the rows of U . sub are divisors[i] * C[i]
+    # adapted basis C of L: sub = M . Lbasis and U M V = S for some
+    # unimodular U, so with C = V^{-1} . Lbasis the rows of U . sub are
+    # divisors[i] * C[i]
     C = mat_mul(mat_inverse(V), Lbasis)
     # chi on the scaled vectors d_i * C_i (these lie in the sublattice)
     base_roots = []

@@ -84,7 +84,7 @@ def span_integer_lattice(generators):
     r = mat_rank(gens)
     if r == m:
         return standard_lattice(m)
-    _, S, V = smith_normal_form(gens)
+    S, V = smith_normal_form(gens)
     Vinv = mat_inverse(V)
     # rows of S*Vinv span the row space; saturation basis = first r rows of Vinv
     basis = [[int(x) for x in row] for row in Vinv[:r]]
@@ -107,7 +107,6 @@ class Cone:
         self.generators = tuple(dict.fromkeys(gens))
         self._span = None
         self._facets = None
-        self._rays = None
 
     # -- span and facet structure -------------------------------------------
     def span_basis(self):
@@ -149,12 +148,9 @@ class Cone:
 
     def extreme_rays(self):
         """Primitive extreme rays, sorted lexicographically."""
-        if self._rays is not None:
-            return self._rays
         d = self.dim
         if d == 1:
-            self._rays = (self.generators[0],)
-            return self._rays
+            return (self.generators[0],)
         normals = self.facet_normals()
         pts = {g: self.span_coords(g) for g in self.generators}
         rays = []
@@ -162,8 +158,7 @@ class Cone:
             tight = [n for n in normals if dot(n, p) == 0]
             if tight and mat_rank(tight) == d - 1:
                 rays.append(g)
-        self._rays = tuple(sorted(set(rays)))
-        return self._rays
+        return tuple(sorted(set(rays)))
 
     def _signs(self, x):
         """Values at x that are >= 0 on the cone and > 0 on its relative
@@ -205,7 +200,6 @@ class SimplicialCone(Cone):
         self.generators = tuple(gens)
         self._span = None
         self._facets = None
-        self._rays = None
 
     def _signs(self, x):
         # barycentric test: coordinates in the generator basis
@@ -226,7 +220,7 @@ def _pulling(rays):
     """Pulling triangulation: join lex-first ray with facets avoiding it."""
     cone = Cone(rays)
     d = cone.dim
-    rays = sorted(set(cone.extreme_rays()))
+    rays = cone.extreme_rays()
     if len(rays) == d:
         return [SimplicialCone(rays)]
     v0 = rays[0]

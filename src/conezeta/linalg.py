@@ -127,28 +127,19 @@ def primitive_int_vector(v):
 def smith_normal_form(M):
     """Integer Smith normal form.
 
-    Returns (U, S, V) with U, V unimodular and U*M*V = S diagonal,
-    diagonal entries nonnegative with d1 | d2 | ... .
+    Returns (S, V) with V unimodular and U*M*V = S diagonal for some
+    unimodular U, diagonal entries nonnegative with d1 | d2 | ... .
     """
     A = [list(map(int, row)) for row in M]
     n = len(A)
     m = len(A[0]) if n else 0
-    U = identity(n)
     V = identity(m)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in A:
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, f):
-        A[dst] = [a + f * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + f * b for a, b in zip(U[dst], U[src])]
 
     def add_col(src, dst, f):
         for r in A:
@@ -166,7 +157,7 @@ def smith_normal_form(M):
                     best = (i, j)
         if best is None:
             break
-        swap_rows(t, best[0])
+        A[t], A[best[0]] = A[best[0]], A[t]
         swap_cols(t, best[1])
         done = False
         while not done:
@@ -174,9 +165,9 @@ def smith_normal_form(M):
             for i in range(t + 1, n):
                 if A[i][t] != 0:
                     q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
+                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
                     if A[i][t] != 0:
-                        swap_rows(t, i)
+                        A[t], A[i] = A[i], A[t]
                         done = False
             for j in range(t + 1, m):
                 if A[t][j] != 0:
@@ -196,10 +187,9 @@ def smith_normal_form(M):
             if bad is not None:
                 break
         if bad is not None:
-            add_row(bad, t, 1)
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
             continue
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
         t += 1
-    return U, A, V
+    return A, V

@@ -33,19 +33,6 @@ _U = 2.0 ** -53
 _TAIL = 1e-17
 
 
-def _letter(e):
-    """The letter 1/e of the word of an MZV with root e, and whether it is
-    exactly 1.  RootOfUnity roots are inverted exactly; a complex root
-    within 1e-12 of 1 counts as 1."""
-    if hasattr(e, "inverse"):
-        a = e.inverse()
-        return complex(a.to_complex()), a.is_one()
-    a = 1 / complex(e)
-    if abs(a - 1.0) < 1e-12:
-        return 1 + 0j, True
-    return a, False
-
-
 def _tail_bound(r, k, M):
     """Bound on sum over n > M of r^n (1+log n)^(k-1) / (n (k-1)!).
 
@@ -132,9 +119,8 @@ def eval_mzv(ks, eps, terms=2_000_000):
     """Numeric value of zeta(k_1..k_m; eps_1..eps_m) = sum over a in
     (N^x)^m of prod eps_i^(a_i) / prod (a_1+...+a_i)^(k_i).
 
-    eps entries may be RootOfUnity objects or complex numbers of modulus 1.
-    Returns an EvalResult.  Raises ValueError on the divergent case
-    k_m = 1, eps_m = 1.
+    eps entries are RootOfUnity objects.  Returns an EvalResult.  Raises
+    ValueError on the divergent case k_m = 1, eps_m = 1.
 
     Uses the Hoelder convolution of Borwein, Bradley, Broadhurst and
     Lisonek ("Special values of multiple polylogarithms", 2001): the value
@@ -158,11 +144,10 @@ def eval_mzv(ks, eps, terms=2_000_000):
         raise ValueError("weights must be positive")
     word = []  # (letter, letter is exactly 1), outermost first; None is 0
     for k, e in zip(reversed(ks), reversed(eps)):
-        word += [(None, False)] * (k - 1) + [_letter(e)]
+        a = e.inverse()  # the letter 1/e, inverted exactly
+        word += [(None, False)] * (k - 1) + [(a.to_complex(), a.is_one())]
     if word[0][1]:
         raise ValueError("divergent symbol")
-    if any(a is not None and abs(abs(a) - 1) > 1e-12 for a, _ in word):
-        raise ValueError("roots must have modulus 1")
     d = min([1.0] + [abs(1 - a) for a, one in word
                      if a is not None and not one])
     x = 1 / (1 + d)
@@ -255,16 +240,47 @@ def _character_values(character, m):
     return values
 
 
+def _hurwitz_sum(g, fms, P, chi):
+    """The 1-D cone sum in closed form.  With s the sign of the generator g
+    and P the character modulus, the points are x = s k for k >= 1, chi(s k)
+    has period P in k, and for forms l_i(x) = c_i x the sum is
+
+        P^-n sum_{r=1..P} chi(s r) zeta(n, r/P) / prod(c_i s),
+
+    a finite sum of Hurwitz zeta values, taken by mpmath at 30 digits.  The
+    bound covers the character values (each within 10 units of roundoff of
+    its root) and the rounding of the result to doubles."""
+    import mpmath as mp
+
+    n = len(fms)
+    s = 1 if g > 0 else -1
+    den = math.prod(Fraction(f.coeffs[0]) * s for f in fms)
+    if n < 2 or den == 0:
+        raise ValueError("the 1-D sum diverges")
+    ks = np.arange(1, P + 1)
+    vals = np.ones(P) if chi is None else chi(s * ks[:, None])
+    with mp.workdps(30):
+        terms = [mp.mpc(v) * mp.zeta(n, mp.mpf(int(k)) / P)
+                 for k, v in zip(ks, vals)]
+        scale = mp.mpf(P) ** n * den.numerator / den.denominator
+        total = mp.fsum(terms) / scale
+        size = mp.fsum(abs(t) for t in terms) / abs(scale)
+    return EvalResult(complex(total), 11 * _U * float(size))
+
+
 def eval_cone_zeta(generators, forms, character=None, radius=400,
                    refine=2):
-    """Numeric value of sum over interior(C) cap Z^m of chi(x)/prod l(x)
-    by direct enumeration with Richardson extrapolation over the cut-off.
+    """Numeric value of sum over interior(C) cap Z^m of chi(x)/prod l(x).
 
-    Supports ambient dimension m <= DIRECT_MAX_DIM (sufficient as an oracle
-    for the bundled examples and tests); raises ValueError otherwise.  The
-    character is evaluated over each whole grid at once from one exact
-    inverse of its basis; a basis that is not square or is singular, or a
-    grid point outside the character's lattice, raises ValueError.
+    In dimension 1 the sum is a finite sum of Hurwitz zeta values, exact up
+    to rounding; it needs at least two forms.  In dimension 2 it is direct
+    enumeration up to cut-offs set by `radius` and `refine`, with
+    Richardson extrapolation over the cut-off.  Supports ambient dimension
+    m <= DIRECT_MAX_DIM (sufficient as an oracle for the bundled examples
+    and tests); raises ValueError otherwise.  The character is evaluated
+    over all points at once from one exact inverse of its basis; a basis
+    that is not square or is singular, or a point outside the character's
+    lattice, raises ValueError.
     """
     from .geometry import Cone, LinearForm
 
@@ -276,24 +292,23 @@ def eval_cone_zeta(generators, forms, character=None, radius=400,
     fms = [f if isinstance(f, LinearForm) else LinearForm(f) for f in forms]
     C = Cone(gens)
     chi = None if character is None else _character_values(character, m)
+    mod = 1 if character is None else int(character.modulus)
+    if m == 1:
+        return _hurwitz_sum(gens[0][0], fms, mod, chi)
 
     def partial(R):
-        if m == 1:
-            sgn = 1 if gens[0][0] > 0 else -1
-            X = sgn * np.arange(1, R + 1)[:, None]
-        else:
-            # vectorized strict-interior enumeration on the [-R, R]^2 grid;
-            # a full-dimensional cone's span basis is the standard one, so
-            # its facet normals are covectors on the grid coordinates
-            normals = C.facet_normals()
-            if C.dim != 2 or not normals:
-                raise ValueError("cone must be full-dimensional and pointed")
-            rng = np.arange(-R, R + 1)
-            x1, x2 = rng[:, None], rng[None, :]
-            mask = np.ones((rng.size, rng.size), dtype=bool)
-            for c1, c2 in normals:
-                mask &= (float(c1) * x1 + float(c2) * x2) > 1e-9
-            X = rng[np.argwhere(mask)]
+        # vectorized strict-interior enumeration on the [-R, R]^2 grid;
+        # a full-dimensional cone's span basis is the standard one, so
+        # its facet normals are covectors on the grid coordinates
+        normals = C.facet_normals()
+        if C.dim != 2 or not normals:
+            raise ValueError("cone must be full-dimensional and pointed")
+        rng = np.arange(-R, R + 1)
+        x1, x2 = rng[:, None], rng[None, :]
+        mask = np.ones((rng.size, rng.size), dtype=bool)
+        for c1, c2 in normals:
+            mask &= (float(c1) * x1 + float(c2) * x2) > 1e-9
+        X = rng[np.argwhere(mask)]
         den = np.ones(len(X))
         for f in fms:
             den *= sum(float(c) * X[:, i] for i, c in enumerate(f.coeffs))
@@ -304,7 +319,6 @@ def eval_cone_zeta(generators, forms, character=None, radius=400,
     # three nested cutoffs with ratio 2, aligned to the character modulus so
     # oscillating partial sums are compared in phase; the tail decays like a
     # power of the cutoff, so extrapolate the drift geometrically
-    mod = 1 if character is None else int(character.modulus)
     u = max(int(refine) * int(radius) // (4 * mod), 1)
     S1, S2, S3 = partial(u * mod), partial(2 * u * mod), partial(4 * u * mod)
     d1, d2 = S3 - S2, S2 - S1

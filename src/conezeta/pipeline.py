@@ -177,7 +177,7 @@ def _uni_terms(I, trace, stats):
     stats["branches"] += len(branches)
     rescaled = [primitive_rescale(ds)[1] for ds in branches]
     out = []
-    for _, ID in change_coordinates(I, rescaled, trace):
+    for ID in change_coordinates(I, rescaled):
         out.extend(uni_factorize(ID, trace))
     stats["uni_terms"] += len(out)
     return out

@@ -244,9 +244,11 @@ class PNormalForm:
 
 @lru_cache(maxsize=None)
 def _pf_pair(a, p, b, q):
-    """Partial fractions of (1-a*y)^(-p) (1-b*y)^(-q) for distinct roots:
-    dict (root, m) -> CycloNumber."""
-    if p == 0:
+    """Partial fractions of (1-a*y)^(-p) (1-b*y)^(-q): dict (root, m) ->
+    CycloNumber."""
+    if a == b:
+        out = {(a, p + q): ONE}
+    elif p == 0:
         out = {(b, q): ONE}
     elif q == 0:
         out = {(a, p): ONE}

@@ -233,8 +233,6 @@ def root_split(root, prim_exps, c):
     Returns a list of (CycloNumber coefficient, [FactorTerm...]) whose sum
     equals the input factor:  prod_{b^c=e} (1 + b*w/(1-b*w)) - 1.
     """
-    if c == 1:
-        return [(ONE, [FactorTerm(root, prim_exps, 1, 1)])]
     roots = nth_roots(root, c)
     out = []
     for r in range(1, c + 1):
@@ -243,14 +241,13 @@ def root_split(root, prim_exps, c):
     return out
 
 
-def change_coordinates(I, pieces, trace=None):
+def change_coordinates(I, pieces):
     """Rewrite a type-S integrand on the orthant over derived-sequence pieces.
 
     `pieces` is a list of rescaled DerivedSequences whose cones decompose the
-    orthant.  Returns a list of (DerivedSequence, Integrand) terms; summing
-    the integrals of the integrands over (0,1)^n reproduces the integral of I.
-    Root splitting is applied so every factor monomial is a variable-part
-    representative (type D).
+    orthant.  Returns one Integrand per piece; summing their integrals over
+    (0,1)^n reproduces the integral of I.  Every factor monomial is a
+    multiple of a variable-part representative; uni_factorize splits it.
     """
     from .linalg import mat_det
 
@@ -265,29 +262,16 @@ def change_coordinates(I, pieces, trace=None):
             for x in row:
                 if x < 0 or Fraction(x).denominator != 1:
                     raise AssertionError("substitution matrix not natural")
-        jac = abs(mat_det(A))
-        split_factor_terms = []
+        factors = []
         for f in I.factors:
             new_exps = tuple(int(sum(Fraction(f.exps[i]) * A[i][k]
                                      for i in range(n))) for k in range(n))
-            lead = next(i for i, x in enumerate(new_exps) if x != 0)
-            c = new_exps[lead]
-            prim = tuple(x // c for x in new_exps)
+            c = next(x for x in new_exps if x != 0)
             if any(x % c for x in new_exps):
                 raise AssertionError("monomial not a multiple of a primitive "
                                      "variable-part representative")
-            split = root_split(f.root, prim, c)
-            if trace is not None:
-                trace.record("root_split", (f.root, prim, c), split)
-            split_factor_terms.append(split)
-        # expand the product of split combinations
-        for combo in itertools.product(*split_factor_terms):
-            coeff = I.coeff * jac
-            factors = []
-            for c0, fl in combo:
-                coeff = coeff * c0
-                factors.extend(fl)
-            out.append((ds, Integrand(coeff, factors, n)))
+            factors.append(FactorTerm(f.root, new_exps, f.mu, f.s))
+        out.append(Integrand(I.coeff * abs(mat_det(A)), factors, n))
     return out
 
 
@@ -401,15 +385,19 @@ def partial_fraction_pair(F1, F2):
 
 
 def uni_factorize(I, trace=None):
-    """Rewrite a type-D integrand as a combination of uni-factor integrands.
+    """Rewrite an integrand from change_coordinates as a combination of
+    uni-factor integrands: root-split every pole factor whose leading
+    exponent exceeds 1, then pair-reduce each term of the split.
 
     In a uni-factor integrand at most one pole factor has any given leading
     variable (pure monomial factors are exempt).  Lowest level first, then the
     lexicographically smallest clashing pair.
     """
-    work = _split_leading(I.coeff, list(I.factors), trace)
+    # one term at a time: the order of the uni-terms fixes the order in
+    # which the pipeline sums them, and so the printed moduli
     return [Integrand(c, fl, I.nvars)
-            for c, fl in _pair_reduce(work, None, trace)]
+            for term in _split_leading(I.coeff, list(I.factors), trace)
+            for c, fl in _pair_reduce([term], None, trace)]
 
 
 def _pair_reduce(work, slot, trace=None):

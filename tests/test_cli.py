@@ -136,6 +136,16 @@ class TestMain:
         assert report["pass"] is True
         assert report["budgets"]["difference"] <= report["budgets"]["allowed"]
 
+    def test_verify_1d_allows_only_the_tolerance(self, tmp_path, capsys):
+        # the 1-D direct sum is exact up to rounding, so the budget is the
+        # requested tolerance, not a bound of the direct sum
+        path = write_job(tmp_path, zeta2_job())
+        assert main(["verify", path]) == EXIT_PASS
+        report = json.loads(capsys.readouterr().out)
+        assert report["budgets"]["allowed"] == report["budgets"]["tolerance"]
+        assert report["budgets"]["tolerance"] == 1e-6
+        assert report["budgets"]["difference"] < 1e-14
+
     def test_verify_2d_with_character(self, tmp_path, capsys):
         doc = {"ambientDim": 2,
                "cone": {"generators": [[1, 0], [0, 1]]},

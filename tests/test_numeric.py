@@ -212,6 +212,29 @@ class TestEvalConeZeta:
                            character=chi, radius=2000)
         assert abs(r.value + math.pi ** 2 / 12) < 1e-8
 
+    @pytest.mark.parametrize("gen, forms, N, k, scale", [
+        (1, [1, 1], 1, 0, 1),            # zeta(2)
+        (1, [1, 1], 2, 1, 1),            # eta(2) = -Li_2(-1)
+        (1, [1] * 5, 4, 1, 1),           # Li_5(i)
+        (1, [1, 1, 1], 3, 1, 1),         # Li_3(zeta_3)
+        (1, [1, 1], 6, 5, 1),            # Li_2(zeta_6^5)
+        (-1, [-2, -1], 4, 1, 2),         # x = -k: Li_2(-i) / 2
+    ])
+    def test_one_dimensional_sum_is_polylog(self, gen, forms, N, k, scale):
+        chi = LatticeCharacter([[1]], N, [k])
+        r = eval_cone_zeta([[gen]], [(c,) for c in forms], chi)
+        with mpmath.workdps(30):
+            z = mpmath.exp(2j * mpmath.pi * gen * k / N)
+            want = complex(mpmath.polylog(len(forms), z) / scale)
+        assert abs(r.value - want) <= r.error < 1e-14
+
+    def test_one_dimensional_divergent_or_off_lattice(self):
+        with pytest.raises(ValueError):
+            eval_cone_zeta([[1]], [(1,)])
+        chi = LatticeCharacter([[2]], 2, [1])
+        with pytest.raises(ValueError, match="not in the lattice"):
+            eval_cone_zeta([[1]], [(1,), (1,)], chi)
+
     def test_quadrant_product(self):
         forms = [LinearForm((1, 0)), LinearForm((1, 0)),
                  LinearForm((0, 1)), LinearForm((0, 1))]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conezeta.exact import CycloNumber, LatticeCharacter, RootOfUnity
 from conezeta.geometry import Cone, LinearForm, open_simplicial_decomposition
@@ -42,8 +43,11 @@ class TestEndToEnd:
         assert abs(r.value - ZETA3) < 1e-8
 
     def test_trace_collection_and_replay(self):
-        res = reduce_cone_zeta([[1]], [(1,), (1,)], collect_trace=True)
-        assert res.trace is not None and len(res.trace) > 0
+        # the index-2 cone needs root splits as well as pair reductions
+        res = reduce_cone_zeta([[1, 0], [1, 2]], [(1, 1)] * 3,
+                               collect_trace=True)
+        rules = {step["rule"] for step in res.trace.steps}
+        assert rules == {"root_split", "partial_fraction_pair"}
         assert res.trace.replay()
 
     def test_divergent_rejected_before_reduction(self):
@@ -155,15 +159,19 @@ class TestReductionPaths:
     """Hand-built uni-factor integrands that reach reduction paths no cone
     job reaches: a factor constant in the last variable (the 'const'
     recipe), a slot pole of power 2 (integration by parts, whose derivative
-    term needs a third variable), and pole powers 2 in the dt/t kernel.
-    The box integral of each must match nested quadrature."""
+    term needs a third variable), pole powers 2 in the dt/t kernel, and a
+    pole of power 2 at the root of the first letter of its word (partial
+    fractions of two equal roots).  The box integral of each must match
+    nested quadrature."""
 
     @pytest.mark.parametrize("factors, maxdegree", [
         ([(R2, (1, 0), 1), (I4, (0, 1), 1)], 9),
         ([(R2, (1, 1), 1), (I4, (0, 1), 2)], 9),
         ([(R2, (1, 0), 1), (I4, (1, 1), 2)], 9),
         ([(R2, (1, 1, 0), 1), (I4, (0, 1, 1), 2)], 3),
-    ], ids=["const", "pole2", "const_parts_pole2", "parts_derivative"])
+        ([(R2, (1, 1), 1), (R2, (0, 1), 2)], 9),
+    ], ids=["const", "pole2", "const_parts_pole2", "parts_derivative",
+            "equal_roots"])
     def test_box_integral_matches_quadrature(self, factors, maxdegree):
         fl = [FactorTerm(root, exps, mu, 1) for root, exps, mu in factors]
         I = Integrand(CycloNumber.from_rational(1, 1), fl, len(fl[0].exps))
@@ -172,6 +180,26 @@ class TestReductionPaths:
         got = eval_zexpr(value).value
         want = quad_check(I, maxdegree=maxdegree)
         assert abs(got - want) < 1e-9
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_random_two_factor_integrands(self, data):
+        # A = (e y0^a0 y1^a1) / (1 - .)^mu and B = (e' y1^b) / (1 - .)^mu'
+        # with roots other than 1; a1 >= 1, since a slot pole of power 2
+        # in y0 alone cannot reach the boundary
+        def root():
+            N = data.draw(st.integers(2, 6))
+            return RootOfUnity(N, data.draw(st.integers(1, N - 1)))
+
+        exps, powers = st.integers(1, 3), st.integers(1, 2)
+        A = FactorTerm(root(), (data.draw(exps), data.draw(exps)),
+                       data.draw(powers), 1)
+        B = FactorTerm(root(), (0, data.draw(exps)), data.draw(powers), 1)
+        I = Integrand(1, [A, B], 2)
+        check = zexpr_zero_check()
+        got = eval_zexpr(regularize_limit(integrand_function(I, check),
+                                          check)).value
+        assert abs(got - quad_check(I, maxdegree=7)) < 1e-10
 
 
 ONE_ROOT = RootOfUnity(1, 0)
