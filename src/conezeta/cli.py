@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .exact import LatticeCharacter, rational_to_str, rational_from_str
 from .geometry import Cone, LinearForm
+from .linalg import identity
 from .pipeline import reduce_cone_zeta, PieceLimitExceeded
 from .polylog import DivergentResult
 from .numeric import (eval_zexpr, eval_cone_zeta, zexpr_zero_check,
@@ -142,8 +143,7 @@ def parse_job(doc):
                 or not all(_is_int(e) for e in exps)):
             raise ValidationError("character.exponents must be ambientDim "
                                   "integers")
-        ident = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        character = LatticeCharacter(ident, N, exps)
+        character = LatticeCharacter(identity(m), N, exps)
     else:
         warnings.append("missing character; defaulting to trivial")
         character = None

@@ -78,17 +78,6 @@ def _reduction_table(N):
     return tuple(rows), d
 
 
-@lru_cache(maxsize=None)
-def _embedding_table(N, M):
-    """Coordinates of zeta_N^j = zeta_M^(j*M/N) in Q(zeta_M) for
-    j < phi(N), each as the sparse (index, coefficient) pairs of its
-    nonzero entries."""
-    step = M // N
-    return tuple(tuple((t, int(r)) for t, r in enumerate(
-        CycloNumber.zeta(M, step * j).coords) if r)
-        for j in range(euler_phi(N)))
-
-
 def _cyclo(N, coords):
     """CycloNumber from phi(N) Fraction coordinates, taken as they are."""
     out = object.__new__(CycloNumber)
@@ -135,10 +124,13 @@ class CycloNumber:
             return self
         if M % self.N != 0:
             raise ValueError("no embedding: %d does not divide %d" % (self.N, M))
-        acc = [Fraction(0)] * euler_phi(M)
-        for c, row in zip(self.coords, _embedding_table(self.N, M)):
+        # zeta_N^j = zeta_M^(j*M/N), a row of the reduction table of M
+        table, d = _reduction_table(M)
+        step = M // self.N
+        acc = [Fraction(0)] * d
+        for j, c in enumerate(self.coords):
             if c:
-                for t, r in row:
+                for t, r in table[step * j]:
                     acc[t] += c * r
         return _cyclo(M, acc)
 

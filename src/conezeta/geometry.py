@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import (mat_det, mat_inverse, mat_rank, nullspace,
+from .linalg import (identity, mat_det, mat_inverse, mat_rank, nullspace,
                      primitive_int_vector, primitive_ray, smith_normal_form,
                      solve_consistent)
 
@@ -71,7 +71,7 @@ class Lattice:
 
 
 def standard_lattice(m):
-    return Lattice([[1 if i == j else 0 for j in range(m)] for i in range(m)])
+    return Lattice(identity(m))
 
 
 def span_integer_lattice(generators):

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .exact import (LatticeCharacter, restrict_character,
                     induced_character_decompose)
+from .linalg import identity
 from .geometry import (Cone, SimplicialCone, LinearForm,
                        open_simplicial_decomposition, free_superlattice)
 from .derivation import build_derived_sequences, primitive_rescale
@@ -106,8 +107,7 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
         if f.is_zero():
             raise ValueError("zero linear form")
     if character is None:
-        ident = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        character = LatticeCharacter.trivial(ident)
+        character = LatticeCharacter.trivial(identity(m))
     trace = ReductionTrace() if collect_trace else None
     if check_zero is None:
         from .numeric import zexpr_zero_check
@@ -171,8 +171,7 @@ def _uni_terms(I, trace, stats):
         if lf.class_key() not in seen:
             seen.add(lf.class_key())
             sforms.append(lf)
-    ident = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    orthant = SimplicialCone(ident)
+    orthant = SimplicialCone(identity(n))
     branches = build_derived_sequences(orthant, sforms)
     stats["branches"] += len(branches)
     rescaled = [primitive_rescale(ds)[1] for ds in branches]

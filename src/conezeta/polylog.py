@@ -17,7 +17,6 @@ from functools import lru_cache
 from .exact import CycloNumber, ONE_ROOT, nth_roots
 
 ONE = CycloNumber.from_rational(1, 1)
-ZERO = CycloNumber.from_rational(0, 1)
 
 W0 = None  # the letter dt/t
 
@@ -55,17 +54,45 @@ def shuffle(u, v):
     return out
 
 
-class ZExpression:
-    """Q^ab-linear combination of values I(1; w) of convergent words."""
+class _Combination:
+    """Sparse linear combination: a dict key -> coefficient holding no zero
+    coefficient.  Every sum of coefficients goes through _add_term."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    self.terms[tuple(w)] = c
+        for k, c in (terms or {}).items():
+            self._add_term(k, c)
+
+    def _add_term(self, key, coeff):
+        """Add coeff at key, dropping the key when the sum cancels."""
+        cur = self.terms.get(key)
+        s = coeff if cur is None else cur + coeff
+        if s.is_zero():
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = s
+
+    def __add__(self, other):
+        out = type(self)(self.terms)
+        for k, c in other.terms.items():
+            out._add_term(k, c)
+        return out
+
+    def scale(self, c):
+        """Multiply every coefficient by c: a scalar, or for a PNormalForm
+        also a ZExpression, through the shuffle product."""
+        return type(self)({k: x * c for k, x in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+
+class ZExpression(_Combination):
+    """Q^ab-linear combination of values I(1; w) of convergent words."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_cyclo(c):
@@ -85,39 +112,23 @@ class ZExpression:
             raise ValueError("divergent word has no value")
         return ZExpression({tuple(word): ONE})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return ZExpression(out)
-
     def __neg__(self):
         return ZExpression({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        return ZExpression({w: c * x for w, x in self.terms.items()})
-
     def __mul__(self, other):
         """Product via the shuffle relation for iterated integrals."""
         if isinstance(other, CycloNumber):
             return self.scale(other)
-        out = {}
+        out = ZExpression()
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 c = c1 * c2
                 for w, mult in shuffle(w1, w2).items():
-                    out[w] = out.get(w, ZERO) + c * mult
-        return ZExpression(out)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.terms.values())
+                    out._add_term(w, c * mult)
+        return out
 
     def evaluate(self, word_value):
         """Numeric value given a callback word -> complex."""
@@ -189,19 +200,12 @@ def mzv_symbol_from_word(word):
 # ---------------------------------------------------------------------------
 # P-normal forms
 
-class PNormalForm:
+class PNormalForm(_Combination):
     """Linear combination of (1-e*y)^(-m) * I(y; w) with ZExpression
     coefficients.  Keys are ((e, m), word) with (None, 0) for the pole-free
     part."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = c
+    __slots__ = ()
 
     @staticmethod
     def zero():
@@ -215,108 +219,48 @@ class PNormalForm:
     def constant(z):
         return PNormalForm({((None, 0), ()): z})
 
-    def _add_term(self, pole, word, coeff):
-        key = (pole, tuple(word))
-        cur = self.terms.get(key)
-        s = coeff if cur is None else cur + coeff
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
-
-    def __add__(self, other):
-        out = PNormalForm(dict(self.terms))
-        for (pole, word), c in other.terms.items():
-            out._add_term(pole, word, c)
-        return out
-
-    def scale(self, c):
-        """Multiply by a CycloNumber or, through the shuffle product, by a
-        ZExpression."""
-        out = PNormalForm()
-        for (pole, word), x in self.terms.items():
-            out._add_term(pole, word, x * c)
-        return out
-
     def __repr__(self):
         return "PNormalForm(%d terms)" % len(self.terms)
 
 
+def _pole_key(pairs):
+    """(root, power) pairs as the key of _partial_fractions: equal roots
+    merged, zero powers dropped, sorted by root."""
+    poles = {}
+    for b, m in pairs:
+        if m:
+            poles[b] = poles.get(b, 0) + m
+    return tuple(sorted(poles.items(), key=lambda t: t[0].sort_key()))
+
+
 @lru_cache(maxsize=None)
-def _pf_pair(a, p, b, q):
-    """Partial fractions of (1-a*y)^(-p) (1-b*y)^(-q): dict (root, m) ->
-    CycloNumber."""
-    if a == b:
-        out = {(a, p + q): ONE}
-    elif p == 0:
-        out = {(b, q): ONE}
-    elif q == 0:
-        out = {(a, p): ONE}
-    else:
+def _partial_fractions(j, poles):
+    """Partial fractions of y^j * prod (1-b*y)^(-m) over the distinct
+    (b, m) pairs of `poles`, sorted by root: a tuple of ((root, m),
+    CycloNumber) pairs, with (None, 0) for the constant part.  Requires
+    j <= sum(m)."""
+    if j > sum(m for _, m in poles):
+        raise AssertionError("numerator power exceeds pole degree")
+    if j:
+        # y (1-by)^(-m) = (1/b) [(1-by)^(-m) - (1-by)^(-m+1)]
+        (b, m), rest = poles[0], poles[1:]
+        binv = b.inverse().to_cyclo()
+        parts = ((poles, binv), (_pole_key(((b, m - 1),) + rest), -binv))
+        j -= 1
+    elif len(poles) > 1:
         # 1/((1-ay)(1-by)) = A/(1-ay) + B/(1-by)
+        (a, p), (b, q), rest = poles[0], poles[1], poles[2:]
         ac, bc = a.to_cyclo(), b.to_cyclo()
         den = (ac - bc).inverse()
-        A = ac * den
-        B = -bc * den
-        out = {}
-        for (r, m), c in _pf_pair(a, p, b, q - 1).items():
-            out[(r, m)] = out.get((r, m), ZERO) + A * c
-        for (r, m), c in _pf_pair(a, p - 1, b, q).items():
-            out[(r, m)] = out.get((r, m), ZERO) + B * c
-    return out
-
-
-def _merge_poles(pole_multiset):
-    """Reduce a product of poles prod (1-b*y)^(-m_b) to a combination of
-    single poles: list of (CycloNumber, (root, m))."""
-    items = [(r, m) for r, m in pole_multiset.items() if m > 0]
-    if not items:
-        return [(ONE, (None, 0))]
-    terms = [(ONE, items)]
-    out = []
-    while terms:
-        c, poles = terms.pop()
-        if len(poles) == 1:
-            out.append((c, poles[0]))
-            continue
-        (a, p), (b, q) = poles[0], poles[1]
-        rest = poles[2:]
-        for (r, m), c2 in _pf_pair(a, p, b, q).items():
-            merged = [(r, m)] + rest
-            # combine equal roots
-            acc = {}
-            for rr, mm in merged:
-                acc[rr] = acc.get(rr, 0) + mm
-            terms.append((c * c2, sorted(acc.items(),
-                                         key=lambda t: t[0].sort_key())))
-    return out
-
-
-def _fold_y(j, pole_multiset):
-    """Write y^j * prod (1-b*y)^(-m_b) as a combination of pure pole
-    products: list of (CycloNumber, {root: m}).  Requires j <= sum(m)."""
-    total = sum(pole_multiset.values())
-    if j > total:
-        raise AssertionError("numerator power exceeds pole degree")
-    work = [(ONE, j, dict(pole_multiset))]
-    out = []
-    while work:
-        c, jj, poles = work.pop()
-        if jj == 0:
-            out.append((c, poles))
-            continue
-        b = next(r for r, m in poles.items() if m > 0)
-        binv = b.inverse().to_cyclo()
-        # y (1-by)^(-m) = (1/b) [(1-by)^(-m) - (1-by)^(-m+1)]; both items
-        # keep jj <= sum(m), since jj drops by one and sum(m) by at most one
-        p1 = dict(poles)
-        work.append((c * binv, jj - 1, p1))
-        p2 = dict(poles)
-        p2[b] -= 1
-        if p2[b] == 0:
-            del p2[b]
-        work.append((c * (-binv), jj - 1, p2))
-    return out
+        parts = ((_pole_key(((a, p), (b, q - 1)) + rest), ac * den),
+                 (_pole_key(((a, p - 1), (b, q)) + rest), -bc * den))
+    else:
+        return ((poles[0] if poles else (None, 0), ONE),)
+    out = _Combination()
+    for sub, c in parts:
+        for pole, c2 in _partial_fractions(j, sub):
+            out._add_term(pole, c * c2)
+    return tuple(out.terms.items())
 
 
 def multiply_factor(pnf, root, c, mu, s):
@@ -329,17 +273,10 @@ def multiply_factor(pnf, root, c, mu, s):
     out = PNormalForm()
     rs = (root ** s).to_cyclo()
     for ((e, m), word), coeff in pnf.terms.items():
-        poles = {}
-        if m:
-            poles[e] = m
-        if mu:
-            for b in roots:
-                poles[b] = poles.get(b, 0) + mu
+        poles = _pole_key([(e, m)] + [(b, mu) for b in roots])
         coeff2 = coeff * rs
-        for c1, jj_poles in _fold_y(c * s, poles):
-            for c2, (r2, m2) in _merge_poles(jj_poles):
-                out._add_term((r2, m2) if m2 else (None, 0), word,
-                              coeff2 * (c1 * c2))
+        for pole, c2 in _partial_fractions(c * s, poles):
+            out._add_term((pole, word), coeff2 * c2)
     return out
 
 
@@ -357,7 +294,7 @@ def integrate_P(pnf, check_zero=None):
     residual = ZExpression.zero()
     for ((e, m), word), coeff in pnf.terms.items():
         if word:
-            out._add_term((None, 0), (W0,) + word, coeff)
+            out._add_term(((None, 0), (W0,) + word), coeff)
         else:
             residual = residual + coeff
         if m:
@@ -392,8 +329,9 @@ def _int_pole(b, nu, word):
         sub = integrate_P(PNormalForm({((b, nu - 1), rest):
                                        ZExpression.one()}))
     else:
+        poles = _pole_key([(b, nu - 1), (head, 1)])
         sub = PNormalForm()
-        for (r2, m2), c2 in _pf_pair(b, nu - 1, head, 1).items():
+        for (r2, m2), c2 in _partial_fractions(0, poles):
             sub = sub + _int_pole(r2, m2, rest).scale(c2)
     return out + sub.scale(-pref)
 
@@ -459,15 +397,13 @@ def word_regularization(word):
         if a <= 0:
             raise AssertionError("shuffle regularization failed")
         # T * reg(rest)
-        acc = {i + 1: c for i, c in word_regularization(rest).items()}
+        acc = _Combination({i + 1: c for i, c in
+                            word_regularization(rest).items()})
         for v, mult in sh.items():
-            if v == word:
-                continue
-            sub = word_regularization(v)
-            for i, c in sub.items():
-                acc[i] = acc.get(i, ZExpression.zero()) - c.scale(mult)
-        out = {i: c.scale(Fraction(1, a)) for i, c in acc.items()
-               if not c.is_zero()}
+            if v != word:
+                for i, c in word_regularization(v).items():
+                    acc._add_term(i, c.scale(-mult))
+        out = {i: c.scale(Fraction(1, a)) for i, c in acc.terms.items()}
     return out
 
 
@@ -506,39 +442,29 @@ def word_germ(word, order):
     ker = ({t: ONE for t in range(order + 2)} if word[0] is None
            else _pole_germ(word[0], 1, order + 1))
     # dF/ds = -kernel(s) * sub(s)
-    deriv = {}
+    deriv = _Combination()
     for (a1, i), c in sub.items():
         for a2, k in ker.items():
-            a = a1 + a2
-            if a > order:
-                continue
-            cur = deriv.get((a, i), ZExpression.zero())
-            deriv[(a, i)] = cur - c.scale(k)
-    out = {}
-    for (a, i), c in deriv.items():
-        if c.is_zero():
-            continue
+            if a1 + a2 <= order:
+                deriv._add_term((a1 + a2, i), c.scale(-k))
+    out = _Combination()
+    for (a, i), c in deriv.terms.items():
         if a == -1:
             # antiderivative of s^-1 T^i is -T^(i+1)/(i+1)
-            keyt = (0, i + 1)
-            cur = out.get(keyt, ZExpression.zero())
-            out[keyt] = cur - c.scale(Fraction(1, i + 1))
+            out._add_term((0, i + 1), c.scale(Fraction(-1, i + 1)))
         else:
             # antiderivative of s^a T^i: sum_{t<=i} c_t s^(a+1) T^t
             coefs = {i: Fraction(1, a + 1)}
             for t in range(i, 0, -1):
                 coefs[t - 1] = coefs[t] * t / (a + 1)
             for t, q in coefs.items():
-                keyt = (a + 1, t)
-                cur = out.get(keyt, ZExpression.zero())
-                out[keyt] = cur + c.scale(q)
+                out._add_term((a + 1, t), c.scale(q))
     # pure T-polynomial layer: T^(i>=1) already from s^-1 pieces; the
     # constant term comes from shuffle regularization
     reg0 = word_regularization(word).get(0)
-    if reg0 is not None and not reg0.is_zero():
-        out[(0, 0)] = out.get((0, 0), ZExpression.zero()) + reg0
-    out = {k: v for k, v in out.items() if not v.is_zero()}
-    return out
+    if reg0 is not None:
+        out._add_term((0, 0), reg0)
+    return out.terms
 
 
 def regularize_limit(pnf, check_zero=None):
@@ -551,20 +477,15 @@ def regularize_limit(pnf, check_zero=None):
     for ((e, m), _w), _c in pnf.terms.items():
         if m and e.is_one():
             J = max(J, m)
-    layers = {}
+    layers = _Combination()
     for ((e, m), word), coeff in pnf.terms.items():
         pole = _pole_germ(e, m, J)
         for (a1, i), c in word_germ(word, J).items():
             for a2, k in pole.items():
-                a = a1 + a2
-                if a > 0:
-                    continue
-                keyt = (a, i)
-                cur = layers.get(keyt, ZExpression.zero())
-                layers[keyt] = cur + (c * coeff).scale(k)
-    bad = [v for (a, i), v in layers.items()
-           if (a < 0 or i > 0) and not v.is_zero()]
+                if a1 + a2 <= 0:
+                    layers._add_term((a1 + a2, i), (c * coeff).scale(k))
+    bad = [v for (a, i), v in layers.terms.items() if a < 0 or i > 0]
     if bad:
         if check_zero is None or not all(check_zero(v) for v in bad):
             raise DivergentResult("nonvanishing singular coefficients at y=1")
-    return layers.get((0, 0), ZExpression.zero())
+    return layers.terms.get((0, 0), ZExpression.zero())

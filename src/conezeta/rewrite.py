@@ -576,7 +576,7 @@ def _integrate_slot(P, h, cid, trace):
     if P is None or P.mu == 1:
         return [(ONE, [], _extend_weight(h, P, cid))]
     boundary, derivative = _by_parts(P, P.mu, h, cid, 1)
-    out = [(c, [F], hb) for c, F, hb in boundary]
+    out = list(boundary)
     for c, ext in derivative:
         for c3, M3, h3 in reduce_A(ext.coords, list(ext.factors),
                                    ext.weight, trace):
@@ -591,17 +591,19 @@ def _by_parts(P, nu, h, cid, scale):
         ([F h]_{y=1} - int F (y d/dy h) dy/y) / (c (nu - 1)),
 
     F = sum_{t<nu} u/(1-u)^t and c = a_cid.  Returns the boundary terms as
-    (coeff, t-th term of F at y = 1, h at y = 1) and the derivative terms as
+    (coeff, factor list of the t-th term of F at y = 1, h at y = 1), the
+    list empty when that term is a constant, and the derivative terms as
     (coeff, object integrating the t-th term of F against y d/dy h).
     """
     inv = Fraction(scale, (nu - 1) * P.exps[cid])
-    exps = P.exps[:cid] + (0,) + P.exps[cid + 1:]
-    if all(x == 0 for x in exps):
-        raise AssertionError("pure pole factor cannot reach the boundary")
     bc, hb = _restrict_object(h, cid)
-    bc = inv * bc
     ts = range(1, nu)
-    boundary = [(bc, FactorTerm(P.root, exps, t, 1), hb) for t in ts]
+    boundary = []
+    for t in ts:
+        # a term constant at y = 1 joins the coefficient
+        cF, Fb = _restrict_object(UFObject(
+            h.coords, (FactorTerm(P.root, P.exps, t, 1),), h.weight), cid)
+        boundary.append((inv * bc * cF, list(Fb.factors), hb))
     derivative = [(-inv * cD, _extend_weight(
                        obj, FactorTerm(P.root, P.exps, t, 1), cid))
                   for cD, obj in reduce_B(h, cid) for t in ts]
@@ -625,8 +627,8 @@ def reduce_B(h, vid):
     if L is not None and L.exps[vid] != 0:
         # y_vid d/dy_vid L = a_vid u/(1-u)^2, integrated by parts in y_cid
         boundary, derivative = _by_parts(L, 2, g, cid, L.exps[vid])
-        out.extend((c, UFObject(gb.coords, gb.factors + (F,), gb.weight))
-                   for c, F, gb in boundary)
+        out.extend((c, UFObject(gb.coords, gb.factors + tuple(Fs), gb.weight))
+                   for c, Fs, gb in boundary)
         out.extend(derivative)
     return out
 

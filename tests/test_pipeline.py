@@ -161,8 +161,9 @@ class TestReductionPaths:
     recipe), a slot pole of power 2 (integration by parts, whose derivative
     term needs a third variable), pole powers 2 in the dt/t kernel, and a
     pole of power 2 at the root of the first letter of its word (partial
-    fractions of two equal roots).  The box integral of each must match
-    nested quadrature."""
+    fractions of two equal roots), and a slot pole of power 2 in its slot's
+    variable alone (a constant boundary term).  The box integral of each
+    must match nested quadrature."""
 
     @pytest.mark.parametrize("factors, maxdegree", [
         ([(R2, (1, 0), 1), (I4, (0, 1), 1)], 9),
@@ -181,18 +182,30 @@ class TestReductionPaths:
         want = quad_check(I, maxdegree=maxdegree)
         assert abs(got - want) < 1e-9
 
+    def test_pure_slot_pole_at_the_boundary(self):
+        # a slot pole of power 2 in y0 alone: its by-parts boundary term is
+        # the constant e/(1-e) at y0 = 1
+        A = FactorTerm(R2, (1, 0), 2, 1)
+        B = FactorTerm(RootOfUnity(3, 1), (0, 1), 1, 1)
+        I = Integrand(CycloNumber.from_rational(1, 1), [A, B], 2)
+        check = zexpr_zero_check()
+        got = eval_zexpr(regularize_limit(integrand_function(I, check),
+                                          check)).value
+        assert abs(got - quad_check(I, maxdegree=7)) < 1e-10
+        assert abs(got - complex(0.274653072167027, -0.261799387799149)) \
+            < 1e-12
+
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_random_two_factor_integrands(self, data):
         # A = (e y0^a0 y1^a1) / (1 - .)^mu and B = (e' y1^b) / (1 - .)^mu'
-        # with roots other than 1; a1 >= 1, since a slot pole of power 2
-        # in y0 alone cannot reach the boundary
+        # with roots other than 1
         def root():
             N = data.draw(st.integers(2, 6))
             return RootOfUnity(N, data.draw(st.integers(1, N - 1)))
 
         exps, powers = st.integers(1, 3), st.integers(1, 2)
-        A = FactorTerm(root(), (data.draw(exps), data.draw(exps)),
+        A = FactorTerm(root(), (data.draw(exps), data.draw(st.integers(0, 3))),
                        data.draw(powers), 1)
         B = FactorTerm(root(), (0, data.draw(exps)), data.draw(powers), 1)
         I = Integrand(1, [A, B], 2)

@@ -3,14 +3,16 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conezeta.exact import CycloNumber, RootOfUnity
+from conezeta.exact import CycloNumber, RootOfUnity, nth_roots
 from conezeta.polylog import (DivergentResult, PNormalForm, ZExpression,
                               MZVSymbol, mzv_symbol_from_word, shuffle,
                               word_is_convergent, multiply_factor,
                               integrate_P, word_value_series, pnf_value,
                               word_regularization, word_germ,
-                              regularize_limit)
+                              regularize_limit, _partial_fractions,
+                              _pole_key)
 from conezeta.numeric import eval_word, eval_zexpr
 
 W0 = None
@@ -128,6 +130,41 @@ class TestMultiplyFactor:
             e, m = pole
             assert (e is None) == (m == 0)
             assert not word or word[-1] is not None
+
+
+class TestPartialFractions:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_decomposition_matches_the_product(self, data):
+        # the c-th roots of a root of order <= 6, as multiply_factor makes
+        # them, and one more root of order <= 6
+        def root():
+            N = data.draw(st.integers(1, 6))
+            return RootOfUnity(N, data.draw(st.integers(0, N - 1)))
+
+        roots = set(nth_roots(root(), data.draw(st.integers(1, 3))))
+        roots.add(root())
+        poles = _pole_key((b, data.draw(st.integers(1, 3))) for b in roots)
+        degree = sum(m for _, m in poles)
+        for j in range(degree + 1):
+            parts = _partial_fractions(j, poles)
+            for y in (0.3, -0.55, 0.8j):
+                want = y ** j
+                for b, m in poles:
+                    want /= (1 - b.to_complex() * y) ** m
+                got = sum(c.to_complex() * (1 if b is None else
+                                            (1 - b.to_complex() * y) ** -k)
+                          for (b, k), c in parts)
+                assert abs(got - want) < 1e-9 * max(1, abs(want)), (j, y)
+        with pytest.raises(AssertionError):
+            _partial_fractions(degree + 1, poles)
+
+    def test_cached_value_is_not_mutated(self):
+        pnf = multiply_factor(PNormalForm.one(), WM1, 1, 2, 1)
+        first, second = (multiply_factor(pnf, RootOfUnity(3, 1), 2, 1, 1)
+                         for _ in range(2))
+        assert ({k: z.terms for k, z in first.terms.items()}
+                == {k: z.terms for k, z in second.terms.items()})
 
 
 class TestIntegrateP:
