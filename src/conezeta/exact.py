@@ -78,11 +78,19 @@ def _reduction_table(N):
     return tuple(rows), d
 
 
-def _cyclo(N, coords):
-    """CycloNumber from phi(N) Fraction coordinates, taken as they are."""
+def _cyclo(N, num, den):
+    """CycloNumber num/den of modulus N from phi(N) integer numerators and
+    a denominator den > 0, divided by their gcd: the one place that puts a
+    number in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
     out = object.__new__(CycloNumber)
     out.N = N
-    out.coords = tuple(coords)
+    out.num = tuple(num)
+    out.den = den
     return out
 
 
@@ -91,32 +99,44 @@ def euler_phi(N):
 
 
 class CycloNumber:
-    """Element of Q(zeta_N) in the power basis 1, z, ..., z^(phi(N)-1)."""
+    """Element of Q(zeta_N) in the power basis 1, z, ..., z^(phi(N)-1),
+    held as integer numerators `num` over one denominator `den` > 0 in
+    lowest terms (gcd(*num, den) == 1), so equal numbers of one modulus
+    have equal fields."""
 
-    __slots__ = ("N", "coords")
+    __slots__ = ("N", "num", "den")
 
     def __init__(self, N, coords):
         d = euler_phi(N)
         coords = [Fraction(c) for c in coords]
         if len(coords) != d:
             raise ValueError("expected %d coordinates for modulus %d" % (d, N))
+        # over the lcm of lowest-terms denominators no prime divides every
+        # numerator and the denominator, so this is already in lowest terms
+        den = lcm(*(c.denominator for c in coords))
         self.N = N
-        self.coords = tuple(coords)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @property
+    def coords(self):
+        """The phi(N) coordinates as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @staticmethod
     def from_rational(q, N=1):
-        d = euler_phi(N)
-        coords = [Fraction(q)] + [Fraction(0)] * (d - 1)
-        return CycloNumber(N, coords)
+        q = Fraction(q)
+        return _cyclo(N, (q.numerator,) + (0,) * (euler_phi(N) - 1),
+                      q.denominator)
 
     @staticmethod
     def zeta(N, k=1):
         """zeta_N^k as a CycloNumber of modulus N."""
         table, d = _reduction_table(N)
-        coords = [Fraction(0)] * d
+        num = [0] * d
         for t, r in table[k % N]:
-            coords[t] = Fraction(r)
-        return _cyclo(N, coords)
+            num[t] = r
+        return _cyclo(N, num, 1)
 
     def embed(self, M):
         """Embed into Q(zeta_M) for N | M (zeta_N = zeta_M^(M/N))."""
@@ -127,87 +147,121 @@ class CycloNumber:
         # zeta_N^j = zeta_M^(j*M/N), a row of the reduction table of M
         table, d = _reduction_table(M)
         step = M // self.N
-        acc = [Fraction(0)] * d
-        for j, c in enumerate(self.coords):
+        acc = [0] * d
+        for j, c in enumerate(self.num):
             if c:
                 for t, r in table[step * j]:
                     acc[t] += c * r
-        return _cyclo(M, acc)
+        return _cyclo(M, acc, self.den)
 
     def _common(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(other, self.N)
+        if self.N == other.N:
+            return self, other
         M = lcm(self.N, other.N)
         return self.embed(M), other.embed(M)
 
-    def __add__(self, other):
+    def _add(self, other, sign):
+        """self + sign * other for sign 1 or -1."""
+        if isinstance(other, (int, Fraction)):
+            # num/den + p/q = (q*num + p*den)/(q*den) in coordinate 0
+            p, q = other.numerator, other.denominator
+            num = [x * q for x in self.num]
+            num[0] += sign * p * self.den
+            return _cyclo(self.N, num, q * self.den)
         a, b = self._common(other)
-        return _cyclo(a.N, [x + y for x, y in zip(a.coords, b.coords)])
+        db, sda = b.den, sign * a.den
+        return _cyclo(a.N, [x * db + y * sda for x, y in zip(a.num, b.num)],
+                      a.den * db)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _cyclo(self.N, [-c for c in self.coords])
+        return _cyclo(self.N, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        a, b = self._common(other)
-        return _cyclo(a.N, [x - y for x, y in zip(a.coords, b.coords)])
+        return self._add(other, -1)
+
+    def _scale(self, p, q):
+        """self * p/q for ints p and q > 0."""
+        return _cyclo(self.N, [x * p for x in self.num], q * self.den)
 
     def __mul__(self, other):
+        # a rational factor, as an int, a Fraction or a number of modulus
+        # 1, scales the numerators and the denominator
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other.numerator, other.denominator)
+        if other.N == 1:
+            return self._scale(other.num[0], other.den)
+        if self.N == 1:
+            return other._scale(self.num[0], self.den)
         a, b = self._common(other)
         table, d = _reduction_table(a.N)
-        acc = [Fraction(0)] * d
-        for i, x in enumerate(a.coords):
-            if not x:
-                continue
-            for j, y in enumerate(b.coords):
-                if not y:
-                    continue
-                xy = x * y
-                for t, r in table[i + j]:
-                    acc[t] += xy * r
-        return _cyclo(a.N, acc)
+        # the product polynomial, of degree at most 2d - 2, then its
+        # rows d .. 2d - 2 reduced modulo Phi_N
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(b.num, i):
+                    if y:
+                        prod[j] += x * y
+        acc = prod[:d]
+        for k in range(d, 2 * d - 1):
+            c = prod[k]
+            if c:
+                for t, r in table[k]:
+                    acc[t] += c * r
+        return _cyclo(a.N, acc, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse: the solution x of self * x = 1, a linear
-        system whose column j holds the coordinates of self * zeta_N^j."""
+        """Multiplicative inverse: den times the solution x of num * x = 1,
+        a linear system whose column j holds the coordinates of
+        num * zeta_N^j."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         table, d = _reduction_table(self.N)
         rows = [[0] * d + [int(t == 0)] for t in range(d)]
-        for i, a in enumerate(self.coords):
+        for i, a in enumerate(self.num):
             if a:
                 for j in range(d):
                     for t, r in table[i + j]:
                         rows[t][j] += a * r
-        return _cyclo(self.N, [row[d] for row in _rref(rows, d)[0]])
+        x = [row[d] for row in _rref(rows, d)[0]]
+        den = lcm(*(c.denominator for c in x))
+        return _cyclo(self.N, [c.numerator * (den // c.denominator) * self.den
+                               for c in x], den)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(other, 1)
+            return (self.den == other.denominator
+                    and self.num[0] == other.numerator and self.is_rational())
         if not isinstance(other, CycloNumber):
             return NotImplemented
         a, b = self._common(other)
-        return a.coords == b.coords
+        return a.num == b.num and a.den == b.den
 
     def to_complex(self):
+        # int true division is correctly rounded, as float(Fraction) is
         z = cmath.exp(2j * cmath.pi / self.N)
+        den = self.den
         out = 0j
-        for c in reversed(self.coords):
-            out = out * z + complex(c)
+        for x in reversed(self.num):
+            out = out * z + complex(x / den)
         return out
 
     def __repr__(self):
@@ -265,6 +319,14 @@ class RootOfUnity:
 
 
 ONE_ROOT = RootOfUnity(1, 0)
+
+
+@lru_cache(maxsize=None)
+def one_minus_inverse(root):
+    """(1 - root)^(-1) for a root of unity other than 1, a CycloNumber of
+    modulus root.order solved once per root and shared by every caller."""
+    return (CycloNumber.from_rational(1, root.order)
+            - root.to_cyclo()).inverse()
 
 
 def nth_roots(e, n):

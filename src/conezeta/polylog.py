@@ -14,7 +14,7 @@ powers of s = 1-y and T = -log(1-y).
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import CycloNumber, ONE_ROOT, nth_roots
+from .exact import CycloNumber, ONE_ROOT, nth_roots, one_minus_inverse
 
 ONE = CycloNumber.from_rational(1, 1)
 
@@ -416,7 +416,7 @@ def _pole_germ(e, m, order):
     if e.is_one():
         return {-m: ONE}
     ec = e.to_cyclo()
-    inv = (ONE - ec).inverse()
+    inv = one_minus_inverse(e)
     base = ONE
     for _ in range(m):
         base = base * inv

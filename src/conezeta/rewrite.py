@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .exact import CycloNumber, nth_roots
+from .exact import CycloNumber, nth_roots, one_minus_inverse
 
 ONE = CycloNumber.from_rational(1, 1)
 
@@ -373,7 +373,7 @@ def partial_fraction_pair(F1, F2):
             raise AssertionError("clashing pair with equal monomial and root")
         # constant X = eq/(1-eq); L1 L2 = X L1' + (-X-1) L2'
         eqc = eq.to_cyclo()
-        X = eqc * (ONE - eqc).inverse()
+        X = eqc * one_minus_inverse(eq)
         out.append((X, [A] + residual(B)))
         out.append((-X - ONE, [B] + residual(A)))
     else:
@@ -514,7 +514,7 @@ def _restrict_object(obj, cid):
         if all(x == 0 for x in exps):
             if f.root.is_one():
                 raise AssertionError("pole at 1 in a face restriction")
-            inv = (ONE - f.root.to_cyclo()).inverse()
+            inv = one_minus_inverse(f.root)
             val = (f.root ** f.s).to_cyclo()
             for _ in range(f.mu):
                 val = val * inv

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conezeta.exact import (CycloNumber, RootOfUnity, LatticeCharacter,
                             nth_roots, euler_phi, restrict_character,
                             induced_character_decompose, rational_to_str,
-                            rational_from_str)
+                            rational_from_str, cyclotomic_poly,
+                            one_minus_inverse)
 
 ONE = CycloNumber.from_rational(1, 1)
 
@@ -129,6 +131,109 @@ class TestCycloNumber:
         assert s.is_zero()
 
 
+# Fraction-coordinate reference arithmetic in Q(zeta_N) = Q[x]/Phi_N
+
+def _ref_reduce(poly, N):
+    """Coordinates of the polynomial `poly` (low to high) modulo Phi_N."""
+    phi = cyclotomic_poly(N)
+    d = len(phi) - 1
+    p = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for k in range(len(p) - 1, d - 1, -1):
+        if p[k]:
+            c = p[k]
+            for i, f in enumerate(phi):
+                p[k - d + i] -= c * f
+    return tuple(p[:d])
+
+
+def _ref_embed(coords, N, M):
+    step = M // N
+    poly = [0] * (step * len(coords))
+    for j, c in enumerate(coords):
+        poly[step * j] = c
+    return _ref_reduce(poly, M)
+
+
+def _ref_mul(a, b, N):
+    poly = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            poly[i + j] += x * y
+    return _ref_reduce(poly, N)
+
+
+def _totient(N):
+    return sum(1 for k in range(1, N + 1) if gcd(k, N) == 1)
+
+
+small_rationals = st.one_of(st.just(Fraction(0)), st.fractions(
+    min_value=-4, max_value=4, max_denominator=6))
+
+
+class TestCanonicalForm:
+    """Every result is num/den in lowest terms, so equality and the zero
+    test can read num and den directly."""
+
+    def check(self, r, N, coords):
+        assert r.N == N
+        assert len(r.num) == _totient(N)
+        assert all(type(x) is int for x in r.num) and type(r.den) is int
+        assert r.den > 0
+        assert gcd(*r.num, r.den) == 1
+        assert r.coords == tuple(coords)
+        assert r.is_zero() == (not any(coords))
+        assert r == CycloNumber(N, coords)
+
+    def number(self, data, N):
+        return CycloNumber(N, data.draw(st.lists(
+            small_rationals, min_size=_totient(N), max_size=_totient(N))))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_results_are_in_lowest_terms(self, data):
+        M = data.draw(st.integers(1, 24))
+        divisors = [n for n in range(1, M + 1) if M % n == 0]
+        Na = data.draw(st.sampled_from(divisors))
+        Nb = data.draw(st.sampled_from(divisors))
+        a = self.number(data, Na)
+        # b == -a, b == a or an unrelated b: sums that cancel to 0 or
+        # leave a common factor in every numerator
+        b = data.draw(st.sampled_from(
+            [-a.embed(Nb), a.embed(Nb), self.number(data, Nb)]
+            if Na == Nb else [self.number(data, Nb)]))
+        ra, rb = tuple(a.coords), tuple(b.coords)
+        L = lcm(Na, Nb)
+        ea, eb = _ref_embed(ra, Na, L), _ref_embed(rb, Nb, L)
+        results = [
+            (a + b, L, tuple(x + y for x, y in zip(ea, eb))),
+            (a - b, L, tuple(x - y for x, y in zip(ea, eb))),
+            (a * b, L, _ref_mul(ea, eb, L)),
+            (-a, Na, tuple(-x for x in ra)),
+            (a.embed(M), M, _ref_embed(ra, Na, M)),
+        ]
+        q = data.draw(st.one_of(st.integers(-6, 6), small_rationals))
+        shifted = (ra[0] + q,) + ra[1:]
+        results += [
+            (a * q, Na, tuple(x * q for x in ra)),
+            (q * a, Na, tuple(x * q for x in ra)),
+            (a + q, Na, shifted),
+            (q + a, Na, shifted),
+            (a - q, Na, (ra[0] - q,) + ra[1:]),
+        ]
+        if not a.is_zero():
+            inv = a.inverse()
+            one = (Fraction(1),) + (Fraction(0),) * (_totient(Na) - 1)
+            assert _ref_mul(inv.coords, ra, Na) == one
+            results.append((inv, Na, inv.coords))
+        for r, N, coords in results:
+            self.check(r, N, coords)
+        assert (a == q) == (ra == (Fraction(q),) + (Fraction(0),) * (
+            len(ra) - 1))
+        for (r, N, x), (s, K, y) in itertools.combinations(results, 2):
+            J = lcm(N, K)
+            assert (r == s) == (_ref_embed(x, N, J) == _ref_embed(y, K, J))
+
+
 class TestRootOfUnity:
     def test_nth_roots_cube_to_input(self):
         z3 = RootOfUnity(3, 1)
@@ -145,6 +250,14 @@ class TestRootOfUnity:
     def test_inverse(self):
         r = RootOfUnity(5, 2)
         assert (r * r.inverse()).is_one()
+
+    @pytest.mark.parametrize("order,exp", [(2, 1), (3, 2), (4, 1), (12, 5)])
+    def test_one_minus_inverse(self, order, exp):
+        r = RootOfUnity(order, exp)
+        inv = one_minus_inverse(r)
+        assert inv.N == order
+        assert (ONE - r.to_cyclo()) * inv == 1
+        assert one_minus_inverse(RootOfUnity(order, exp)) is inv
 
 
 class TestCharacters:

@@ -7,6 +7,10 @@ these bytes.  Each digest is the SHA-256 of the compact, key-sorted JSON of
 the `small_jobs`, `superlattice` and `verify_direct` jobs of
 `perfbench/pool.json` and for the conjugate-character variant of each job
 whose character modulus exceeds 2 (id suffix "~").
+
+TRACE_GOLDEN pins the SHA-256 of the `--trace` file of two superlattice jobs
+(mixed moduli and a skew form), which prints every CycloNumber with its
+repr.
 """
 
 import hashlib
@@ -53,6 +57,11 @@ GOLDEN = {
     "v_2z3_i~": "970c9ab15a6477726c1844bed581f1098bdbccd3b51dc47bb5a1c3ab1f95914d",
 }
 
+TRACE_GOLDEN = {
+    "k2_mod3": "6f778c56780d30a1de1fba83702566d47a24c5ad82d329a4fdd722b08fcc1149",
+    "k2_skew": "ae470be6a1aaefa08e5d34e0599ed9642fcfe08d0cda06f5368905296edff708",
+}
+
 
 def _jobs():
     with open(POOL) as fh:
@@ -82,3 +91,11 @@ def test_reduction_bytes_unchanged(job_id):
     blob = json.dumps([report["symbolicValue"], report["stats"], code],
                       sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[job_id]
+
+
+@pytest.mark.parametrize("job_id", sorted(TRACE_GOLDEN))
+def test_trace_bytes_unchanged(job_id, tmp_path):
+    path = tmp_path / "trace.json"
+    cli.run_job(cli.parse_job(JOBS[job_id]), "reduce", trace_path=str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == TRACE_GOLDEN[job_id]
