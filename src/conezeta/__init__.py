@@ -6,9 +6,8 @@ Main entry points: `reduce_cone_zeta` for the symbolic reduction and
 
 from .exact import (CycloNumber, RootOfUnity, LatticeCharacter, nth_roots,
                     restrict_character, induced_character_decompose)
-from .geometry import (Cone, SimplicialCone, Lattice, LinearForm,
-                       triangulate, open_simplicial_decomposition,
-                       free_superlattice)
+from .geometry import (Cone, SimplicialCone, Lattice, triangulate,
+                       open_simplicial_decomposition, free_superlattice)
 from .derivation import (DerivedSequence, build_derived_sequences,
                          primitive_rescale)
 from .rewrite import (FactorTerm, Integrand, ReductionTrace,

@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 
 from .exact import LatticeCharacter, rational_to_str, rational_from_str
-from .geometry import Cone, LinearForm
-from .linalg import identity
+from .geometry import Cone
+from .linalg import dot, identity
 from .pipeline import reduce_cone_zeta, PieceLimitExceeded
 from .polylog import DivergentResult
 from .numeric import (eval_zexpr, eval_cone_zeta, zexpr_zero_check,
@@ -129,7 +129,7 @@ def parse_job(doc):
         raise ValidationError("cone must be pointed: it contains a line")
     fms = []
     for row in _matrix_rows(doc["forms"], m, "forms"):
-        fms.append(LinearForm([_parse_rational(x, "forms") for x in row]))
+        fms.append(tuple(_parse_rational(x, "forms") for x in row))
     warnings = []
     if "character" in doc and doc["character"] is not None:
         ch = doc["character"]
@@ -159,11 +159,11 @@ def parse_job(doc):
         raise ValidationError("options.trace must be a path string")
     # positivity of the forms on the closed cone (interior follows)
     for f in fms:
-        vals = [f(g) for g in gens]
+        vals = [dot(f, g) for g in gens]
         if any(v < 0 for v in vals) or all(v == 0 for v in vals):
             raise ValidationError("POSITIVITY: form %s is not positive on "
                                   "the cone interior" % (list(map(
-                                      rational_to_str, f.coeffs)),))
+                                      rational_to_str, f)),))
     return {"m": m, "generators": gens, "forms": fms,
             "character": character, "options": options, "warnings": warnings}
 

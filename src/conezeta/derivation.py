@@ -11,8 +11,8 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .geometry import Cone, LinearForm, SimplicialCone, refine_definite
-from .linalg import primitive_int_vector, solve_consistent
+from .geometry import Cone, SimplicialCone, refine_definite
+from .linalg import dot, primitive_int_vector, solve_consistent
 
 
 class DerivedSequence:
@@ -95,12 +95,12 @@ def derived_level(level):
 
 
 def _to_ambient(coords, basis):
-    return tuple(sum(Fraction(c) * Fraction(b[i]) for c, b in zip(coords, basis))
-                 for i in range(len(basis[0])))
+    return tuple(dot(coords, col) for col in zip(*basis))
 
 
 def _derive_branches(gens, forms):
-    """Recursive construction; forms are covectors in the current space.
+    """Recursive construction; forms are coefficient tuples (covectors) in
+    the current space.
 
     Returns a list of (ordered ambient generators, levels) with levels given
     as value vectors on those generators.
@@ -108,36 +108,36 @@ def _derive_branches(gens, forms):
     cone = Cone(gens)
     d = cone.dim
     for f in forms:
-        if all(f(g) == 0 for g in gens):
+        if all(dot(f, g) == 0 for g in gens):
             raise ValueError("a form vanishes identically on the cone")
     if d == 1:
         g = cone.generators[0]
-        level = [(f(g),) for f in forms]
+        level = [(dot(f, g),) for f in forms]
         return [([g], [level])]
     basis = cone.span_basis()
     gens_c = [tuple(cone.span_coords(g)) for g in cone.generators]
-    forms_c = [LinearForm([f(b) for b in basis]) for f in forms]
+    forms_c = [tuple(dot(f, b) for b in basis) for f in forms]
     branches = []
-    for delta, drop in refine_definite(Cone(gens_c), forms_c):
+    classes = [primitive_int_vector(f) for f in forms_c]
+    for delta, drop in refine_definite(Cone(gens_c), classes):
         v = delta.generators[drop]
         rest = [g for i, g in enumerate(delta.generators) if i != drop]
         # derived covectors on the facet spanned by `rest`
         derived = {}
         for f in forms_c:
-            vals = tuple(f(g) for g in rest)
+            vals = tuple(dot(f, g) for g in rest)
             if any(x != 0 for x in vals):
                 derived.setdefault(primitive_int_vector(vals), f)
-        nz = [f for f in forms_c if f(v) != 0]
+        nz = [f for f in forms_c if dot(f, v) != 0]
         for f1, f2 in itertools.combinations(nz, 2):
-            a1, a2 = f1(v), f2(v)
-            cross = LinearForm([a1 * y - a2 * x
-                                for x, y in zip(f1.coeffs, f2.coeffs)])
-            vals = tuple(cross(g) for g in rest)
+            a1, a2 = dot(f1, v), dot(f2, v)
+            cross = tuple(a1 * y - a2 * x for x, y in zip(f1, f2))
+            vals = tuple(dot(cross, g) for g in rest)
             if any(x != 0 for x in vals):
                 derived.setdefault(primitive_int_vector(vals), cross)
         for sub_gens, sub_levels in _derive_branches(rest, list(derived.values())):
             ordered = [tuple(v)] + [tuple(g) for g in sub_gens]
-            level0 = [tuple(f(g) for g in ordered) for f in forms_c]
+            level0 = [tuple(dot(f, g) for g in ordered) for f in forms_c]
             levels = [level0] + sub_levels
             ambient_gens = [_to_ambient(g, basis) for g in ordered]
             branches.append((ambient_gens, levels))
@@ -147,14 +147,13 @@ def _derive_branches(gens, forms):
 def build_derived_sequences(C, S):
     """Decompose C and equip each piece with a valid derived sequence.
 
-    C is a cone (full-dimensional in its span); S an iterable of LinearForm,
-    none vanishing identically on C.  The union of the returned cones is C and
-    their interiors are pairwise disjoint.
+    C is a cone (full-dimensional in its span); S a list of forms
+    (coefficient sequences), none vanishing identically on C.  The union of
+    the returned cones is C and their interiors are pairwise disjoint.
     """
-    forms = [f if isinstance(f, LinearForm) else LinearForm(f) for f in S]
     out = []
     # the branch generators are primitive rays already
-    for gens, levels in _derive_branches(list(C.generators), forms):
+    for gens, levels in _derive_branches(list(C.generators), S):
         ds = DerivedSequence(SimplicialCone(gens), levels)
         errs = ds.validate()
         if errs:
@@ -185,7 +184,7 @@ def primitive_rescale(D):
                     r = Fraction(v[j - i], v[p] * e[gp])
                     need = lcm(need, r.denominator)
         e[j] = need
-    new_gens = [tuple(Fraction(ej) * Fraction(x) for x in g)
+    new_gens = [tuple(ej * x for x in g)
                 for ej, g in zip(e, D.cone.generators)]
     new_levels = []
     for i, level in enumerate(D.levels):

@@ -184,6 +184,9 @@ class CycloNumber:
     def __sub__(self, other):
         return self._add(other, -1)
 
+    def __rsub__(self, other):
+        return (-self)._add(other, 1)
+
     def _scale(self, p, q):
         """self * p/q for ints p and q > 0."""
         return _cyclo(self.N, [x * p for x in self.num], q * self.den)
@@ -325,8 +328,7 @@ ONE_ROOT = RootOfUnity(1, 0)
 def one_minus_inverse(root):
     """(1 - root)^(-1) for a root of unity other than 1, a CycloNumber of
     modulus root.order solved once per root and shared by every caller."""
-    return (CycloNumber.from_rational(1, root.order)
-            - root.to_cyclo()).inverse()
+    return (1 - root.to_cyclo()).inverse()
 
 
 def nth_roots(e, n):
@@ -367,12 +369,8 @@ class LatticeCharacter:
     def trivial(basis):
         return LatticeCharacter(basis, 1, [0] * len(basis))
 
-    def coords_of(self, x):
-        """Integer coordinates of an ambient point in the lattice basis."""
-        return _lattice_coords(self.basis, x)
-
     def eval(self, x):
-        c = self.coords_of(x)
+        c = _lattice_coords(self.basis, x)
         k = sum(ci * ei for ci, ei in zip(c, self.exps))
         return RootOfUnity(self.modulus, k)
 

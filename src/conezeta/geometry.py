@@ -1,49 +1,20 @@
-"""Exact polyhedral geometry: cones, lattices, linear forms, decompositions."""
+"""Exact polyhedral geometry: cones, lattices, decompositions.
+
+A linear form is the tuple of its coefficients, evaluated by `linalg.dot`;
+its class up to positive scale is `linalg.primitive_int_vector` of it."""
 
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import (identity, mat_det, mat_inverse, mat_rank, nullspace,
-                     primitive_int_vector, primitive_ray, smith_normal_form,
+from .linalg import (dot, identity, mat_det, mat_inverse, mat_rank,
+                     nullspace, primitive_ray, smith_normal_form,
                      solve_consistent)
-
-
-def dot(a, b):
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
 
 
 def _basis_coords(basis, x):
     """Coordinates of x in the rows of `basis` (raises off their span)."""
     return solve_consistent(list(zip(*basis)), x)
-
-
-class LinearForm:
-    """Linear form with rational coefficients; class = positive scaling."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    def __call__(self, x):
-        return dot(self.coeffs, x)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def class_key(self):
-        """Canonical representative of the up-to-positive-scale class."""
-        return primitive_int_vector(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "LinearForm(%s)" % (list(self.coeffs),)
 
 
 class Lattice:
@@ -319,8 +290,8 @@ def extreme_rays_from_inequalities(ineqs, d):
     return rays
 
 
-def _chambers(C, forms):
-    """Full-dimensional chambers of C cut by the hyperplanes {form = 0}.
+def _chambers(C, classes):
+    """Full-dimensional chambers of C cut by the hyperplanes {cls = 0}.
 
     Only classes that change sign on the generators can cut C: on the
     opposite side of a one-signed class lies at most a face of C.
@@ -328,8 +299,7 @@ def _chambers(C, forms):
     d = C.dim
     if d != C.ambient_dim:
         raise ValueError("refine_definite expects a full-dimensional cone")
-    classes = sorted({f.class_key() for f in forms})
-    classes = [cls for cls in classes
+    classes = [cls for cls in sorted(set(classes))
                if any(dot(cls, g) > 0 for g in C.generators)
                and any(dot(cls, g) < 0 for g in C.generators)]
     if d == 1 or not classes:
@@ -357,7 +327,7 @@ def _admissible_interior_ray(delta, forms):
     base = [sum(col) for col in zip(*gens)]
 
     def ok(w):
-        return all(f(w) != 0 for f in forms)
+        return all(dot(f, w) != 0 for f in forms)
 
     if ok(base):
         return primitive_ray(base)
@@ -374,35 +344,32 @@ def _admissible_interior_ray(delta, forms):
 def refine_definite(C, S):
     """Decompose C into simplicial cones with a facet fit for derivation.
 
-    S is an iterable of LinearForm (or classes); returns a list of pairs
-    (SimplicialCone delta, facet index) such that every form of S is definite
-    (single sign) on delta and no form vanishes identically on the facet
-    obtained by dropping the generator at `facet index`.
+    S is a list of form classes (primitive integer tuples); returns a list
+    of pairs (SimplicialCone delta, facet index) such that every form of S is
+    definite (single sign) on delta and no form vanishes identically on the
+    facet obtained by dropping the generator at `facet index`.
     """
-    forms = [LinearForm(f.class_key() if isinstance(f, LinearForm) else f)
-             for f in S]
-    for f in forms:
-        if f.is_zero():
-            raise ValueError("zero form cannot be made definite")
+    if not all(any(f) for f in S):
+        raise ValueError("zero form cannot be made definite")
     out = []
     stack = []
-    for ch in _chambers(C, forms):
+    for ch in _chambers(C, S):
         stack.extend(triangulate(ch))
     while stack:
         delta = stack.pop(0)
         # definiteness sanity (holds by construction on chambers)
-        for f in forms:
-            vals = [f(g) for g in delta.generators]
+        for f in S:
+            vals = [dot(f, g) for g in delta.generators]
             if any(v > 0 for v in vals) and any(v < 0 for v in vals):
                 raise AssertionError("form not definite on refined piece")
         drop = None
         for i in range(len(delta.generators)):
             rest = [g for j, g in enumerate(delta.generators) if j != i]
-            if all(any(f(g) != 0 for g in rest) for f in forms):
+            if all(any(dot(f, g) != 0 for g in rest) for f in S):
                 drop = i
                 break
         if drop is None:
-            w = _admissible_interior_ray(delta, forms)
+            w = _admissible_interior_ray(delta, S)
             for i in range(len(delta.generators)):
                 rest = [g for j, g in enumerate(delta.generators) if j != i]
                 stack.append(SimplicialCone([w] + rest))

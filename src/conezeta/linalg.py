@@ -5,10 +5,14 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 
+def dot(a, b):
+    """Sum of a[i] * b[i]; ints in give an int, so divide no result of it."""
+    return sum(x * y for x, y in zip(a, b))
+
+
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    cols = list(zip(*B))
+    return [[dot(row, col) for col in cols] for row in A]
 
 
 def identity(n):

@@ -254,7 +254,7 @@ def _hurwitz_sum(g, fms, P, chi):
 
     n = len(fms)
     s = 1 if g > 0 else -1
-    den = math.prod(Fraction(f.coeffs[0]) * s for f in fms)
+    den = math.prod(Fraction(f[0]) * s for f in fms)
     if n < 2 or den == 0:
         raise ValueError("the 1-D sum diverges")
     ks = np.arange(1, P + 1)
@@ -282,19 +282,18 @@ def eval_cone_zeta(generators, forms, character=None, radius=400,
     that is not square or is singular, or a point outside the character's
     lattice, raises ValueError.
     """
-    from .geometry import Cone, LinearForm
+    from .geometry import Cone
 
     gens = [tuple(Fraction(x) for x in g) for g in generators]
     m = len(gens[0])
     if m > DIRECT_MAX_DIM:
         raise ValueError("direct enumeration supports dimension <= %d"
                          % DIRECT_MAX_DIM)
-    fms = [f if isinstance(f, LinearForm) else LinearForm(f) for f in forms]
     C = Cone(gens)
     chi = None if character is None else _character_values(character, m)
     mod = 1 if character is None else int(character.modulus)
     if m == 1:
-        return _hurwitz_sum(gens[0][0], fms, mod, chi)
+        return _hurwitz_sum(gens[0][0], forms, mod, chi)
 
     def partial(R):
         # vectorized strict-interior enumeration on the [-R, R]^2 grid;
@@ -310,8 +309,8 @@ def eval_cone_zeta(generators, forms, character=None, radius=400,
             mask &= (float(c1) * x1 + float(c2) * x2) > 1e-9
         X = rng[np.argwhere(mask)]
         den = np.ones(len(X))
-        for f in fms:
-            den *= sum(float(c) * X[:, i] for i, c in enumerate(f.coeffs))
+        for f in forms:
+            den *= sum(float(c) * X[:, i] for i, c in enumerate(f))
         if chi is None:
             return complex(np.sum(1.0 / den))
         return complex(np.sum(chi(X) / den))

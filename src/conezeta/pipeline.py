@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .exact import (LatticeCharacter, restrict_character,
                     induced_character_decompose)
-from .linalg import identity
-from .geometry import (Cone, SimplicialCone, LinearForm,
-                       open_simplicial_decomposition, free_superlattice)
+from .linalg import identity, primitive_int_vector
+from .geometry import (Cone, SimplicialCone, open_simplicial_decomposition,
+                       free_superlattice)
 from .derivation import build_derived_sequences, primitive_rescale
 from .rewrite import (Integrand, integral_expression, convergence_check,
                       change_coordinates, uni_factorize,
@@ -37,7 +37,7 @@ def execute_recipe(node, check_zero=None):
     if op == "one":
         return PNormalForm.one()
     if op == "sum":
-        out = PNormalForm.zero()
+        out = PNormalForm()
         for coeff, child in node[1]:
             out = out + execute_recipe(child, check_zero).scale(coeff)
         return out
@@ -93,8 +93,8 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
                      max_pieces=None, collect_trace=False):
     """Reduce a cone zeta value to a ZExpression of cyclotomic zeta symbols.
 
-    generators: rays of a pointed cone in Z^m; forms: linear forms (coefficient
-    sequences or LinearForm) positive on the interior; character: an optional
+    generators: rays of a pointed cone in Z^m; forms: linear forms given as
+    coefficient sequences, positive on the interior; character: an optional
     LatticeCharacter on a finite-index sublattice of Z^m (trivial if omitted).
     With `collect_trace` the result carries a ReductionTrace of the rewrite
     rules applied.  Raises DivergentResult when the defining sum fails the
@@ -102,10 +102,8 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
     """
     generators = [tuple(Fraction(x) for x in g) for g in generators]
     m = len(generators[0])
-    forms = [f if isinstance(f, LinearForm) else LinearForm(f) for f in forms]
-    for f in forms:
-        if f.is_zero():
-            raise ValueError("zero linear form")
+    if not all(any(f) for f in forms):
+        raise ValueError("zero linear form")
     if character is None:
         character = LatticeCharacter.trivial(identity(m))
     trace = ReductionTrace() if collect_trace else None
@@ -125,7 +123,7 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
         if not convergence_check(free_gens, forms):
             raise DivergentResult("defining sum diverges on a piece")
         prepared.append((face, L, lbar, free_gens, kappa))
-    total = ZExpression.zero()
+    total = ZExpression()
     stats = {"pieces": len(pieces), "characters": 0, "branches": 0,
              "uni_terms": 0, "distinct_integrands": 0}
     for face, L, lbar, free_gens, kappa in prepared:
@@ -149,7 +147,7 @@ def _reduce_integrand(I, trace, check_zero, stats):
     # per-term limits at 1 may diverge with cancellation across terms, so
     # sum the partial integrals as functions of the shared last variable
     # and regularize once
-    fn = PNormalForm.zero()
+    fn = PNormalForm()
     for (factors, nvars), coeff in groups.items():
         if coeff.is_zero():
             continue
@@ -164,15 +162,11 @@ def _uni_terms(I, trace, stats):
     derived-sequence branches of the coordinate orthant."""
     n = I.nvars
     # decompose the coordinate orthant by the factor exponent classes
-    seen = set()
-    sforms = []
+    sforms = {}
     for f in I.factors:
-        lf = LinearForm([Fraction(x) for x in f.exps])
-        if lf.class_key() not in seen:
-            seen.add(lf.class_key())
-            sforms.append(lf)
+        sforms.setdefault(primitive_int_vector(f.exps), f.exps)
     orthant = SimplicialCone(identity(n))
-    branches = build_derived_sequences(orthant, sforms)
+    branches = build_derived_sequences(orthant, list(sforms.values()))
     stats["branches"] += len(branches)
     rescaled = [primitive_rescale(ds)[1] for ds in branches]
     out = []

@@ -99,10 +99,6 @@ class ZExpression(_Combination):
         return ZExpression({(): c})
 
     @staticmethod
-    def zero():
-        return ZExpression()
-
-    @staticmethod
     def one():
         return ZExpression({(): ONE})
 
@@ -208,10 +204,6 @@ class PNormalForm(_Combination):
     __slots__ = ()
 
     @staticmethod
-    def zero():
-        return PNormalForm()
-
-    @staticmethod
     def one():
         return PNormalForm({((None, 0), ()): ZExpression.one()})
 
@@ -291,7 +283,7 @@ def integrate_P(pnf, check_zero=None):
     structurally zero.
     """
     out = PNormalForm()
-    residual = ZExpression.zero()
+    residual = ZExpression()
     for ((e, m), word), coeff in pnf.terms.items():
         if word:
             out._add_term(((None, 0), (W0,) + word), coeff)
@@ -488,4 +480,4 @@ def regularize_limit(pnf, check_zero=None):
     if bad:
         if check_zero is None or not all(check_zero(v) for v in bad):
             raise DivergentResult("nonvanishing singular coefficients at y=1")
-    return layers.terms.get((0, 0), ZExpression.zero())
+    return layers.terms.get((0, 0), ZExpression())

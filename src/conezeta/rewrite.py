@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .exact import CycloNumber, nth_roots, one_minus_inverse
+from .linalg import dot, mat_det
 
 ONE = CycloNumber.from_rational(1, 1)
 
@@ -79,9 +80,9 @@ class Integrand:
 class ReductionTrace:
     """Audit trace of rewrite-rule applications.
 
-    Each step stores the rule name plus reprs of inputs and outputs; replay
-    re-executes every recorded rule and checks that it reproduces the
-    recorded output.
+    Each step stores the rule name with its input and output objects;
+    replay re-executes every recorded rule and checks that the repr of its
+    result equals that of the recorded output.
     """
 
     def __init__(self):
@@ -182,7 +183,8 @@ def integral_expression(generators, forms, chi):
     """Type-S integrand for sum over the free semigroup on `generators`.
 
     generators: ordered free semigroup generators (rational vectors);
-    forms: LinearForms positive on the open cone; chi: LatticeCharacter.
+    forms: coefficient tuples positive on the open cone; chi:
+    LatticeCharacter.
     The value of the cone zeta sum equals the integral over (0,1)^n of the
     returned integrand times prod dy_i/y_i.
     """
@@ -191,7 +193,7 @@ def integral_expression(generators, forms, chi):
     scale = Fraction(1)
     rows = []
     for f in forms:
-        vals = [Fraction(f(g)) for g in generators]
+        vals = [Fraction(dot(f, g)) for g in generators]
         if any(v < 0 for v in vals) or all(v == 0 for v in vals):
             raise ValueError("form not positive on the open cone piece")
         den = lcm(*(v.denominator for v in vals))
@@ -215,7 +217,7 @@ def convergence_check(generators, forms):
     involving at least one coordinate of J must exceed |J|.
     """
     d = len(generators)
-    mat = [[Fraction(f(g)) for g in generators] for f in forms]
+    mat = [[dot(f, g) for g in generators] for f in forms]
     for r in range(1, d + 1):
         for J in itertools.combinations(range(d), r):
             cnt = sum(1 for row in mat if any(row[j] != 0 for j in J))
@@ -249,8 +251,6 @@ def change_coordinates(I, pieces):
     (0,1)^n reproduces the integral of I.  Every factor monomial is a
     multiple of a variable-part representative; uni_factorize splits it.
     """
-    from .linalg import mat_det
-
     out = []
     n = I.nvars
     for ds in pieces:
@@ -264,8 +264,7 @@ def change_coordinates(I, pieces):
                     raise AssertionError("substitution matrix not natural")
         factors = []
         for f in I.factors:
-            new_exps = tuple(int(sum(Fraction(f.exps[i]) * A[i][k]
-                                     for i in range(n))) for k in range(n))
+            new_exps = tuple(int(dot(f.exps, g)) for g in gens)
             c = next(x for x in new_exps if x != 0)
             if any(x % c for x in new_exps):
                 raise AssertionError("monomial not a multiple of a primitive "

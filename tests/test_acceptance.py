@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from conezeta.exact import CycloNumber, RootOfUnity, LatticeCharacter
-from conezeta.geometry import SimplicialCone, LinearForm
 from conezeta.derivation import build_derived_sequences, primitive_rescale
 from conezeta.rewrite import (FactorTerm, Integrand, normalize_term,
                               partial_fraction_pair, root_split,
@@ -80,8 +79,7 @@ class TestZValues:
         forms = [(1, 0), (1, 1), (1, 1)]
         res = reduce_cone_zeta(gens, forms)
         val = eval_zexpr(res.value).value
-        direct = eval_cone_zeta(gens, [LinearForm(f) for f in forms],
-                                radius=1000).value
+        direct = eval_cone_zeta(gens, forms, radius=1000).value
         diff = abs(val - direct)
         report("Z5", diff < 1e-4, "diff=%.2e tol=1e-4" % diff)
 
@@ -153,8 +151,7 @@ class TestProperties:
             for n in range(1, 5):
                 for rows in itertools.combinations_with_replacement(
                         alphabet, n):
-                    assert convergence_check(
-                        units(d), [LinearForm(r) for r in rows]) \
+                    assert convergence_check(units(d), rows) \
                         == probe(rows, d), rows
                     checked += 1
         report("P3", True, "%d form families agree with brute force"

@@ -6,6 +6,7 @@ import pytest
 
 from conezeta import cli
 from conezeta.exact import CycloNumber
+from conezeta.linalg import dot
 from conezeta.numeric import zexpr_zero_check
 from conezeta.polylog import ZExpression
 from conezeta.cli import (main, parse_job, ValidationError, EXIT_PASS,
@@ -49,7 +50,28 @@ class TestParseJob:
         doc = zeta2_job()
         doc["forms"] = [["1/2"], [1]]
         job = parse_job(doc)
-        assert float(job["forms"][0]((2,))) == 1.0
+        assert dot(job["forms"][0], (2,)) == 1
+
+    @pytest.mark.parametrize("doc,mode", [
+        ({"ambientDim": 2, "cone": {"generators": [[1, 0], [1, 2]]},
+          "forms": [["2/2", "0/3"], ["3/3", 1], [1, "4/4"]],
+          "character": {"modulus": 2, "exponents": [1, 0]}}, "reduce"),
+        ({"ambientDim": 1, "cone": {"generators": [[1]]},
+          "forms": [["4/2"], ["1/1"]],
+          "character": {"modulus": 2, "exponents": [1]}}, "verify"),
+    ])
+    def test_form_types_give_identical_reports(self, doc, mode):
+        # forms reach the library as given, never normalized: the same job
+        # with int, Fraction or parsed "p/q" coefficients reports the same
+        job = parse_job(doc)
+        ints = [tuple(int(x) for x in f) for f in job["forms"]]
+        reports = []
+        for forms in (ints, [tuple(map(Fraction, f)) for f in ints],
+                      job["forms"]):
+            report, code = cli.run_job(dict(job, forms=forms), mode)
+            assert code == EXIT_PASS
+            reports.append(json.dumps(report, sort_keys=True))
+        assert reports[0] == reports[1] == reports[2]
 
     def test_unknown_field_rejected(self):
         doc = zeta2_job()

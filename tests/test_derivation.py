@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conezeta.geometry import Cone, SimplicialCone, LinearForm
+from conezeta.geometry import Cone, SimplicialCone
 from conezeta.derivation import (DerivedSequence, build_derived_sequences,
                                  primitive_rescale)
 from conezeta.linalg import mat_rank
@@ -25,7 +25,7 @@ def random_instance(rnd, n):
     while len(forms) < nf:
         f = [rnd.randint(0, 2) for _ in range(n)]
         if any(f):
-            forms.append(LinearForm(f))
+            forms.append(f)
     return SimplicialCone(gens), forms
 
 
@@ -63,7 +63,7 @@ class TestBuildDerivedSequences:
     def test_rejects_vanishing_form(self):
         C = SimplicialCone([(1, 0), (0, 1)])
         with pytest.raises(ValueError):
-            build_derived_sequences(C, [LinearForm((0, 0))])
+            build_derived_sequences(C, [(0, 0)])
 
 
 class TestPrimitiveRescale:
@@ -89,7 +89,7 @@ class TestPrimitiveRescale:
         # those multiples for the later change of coordinates
         ds = build_derived_sequences(
             SimplicialCone([(1, 0), (0, 1)]),
-            [LinearForm((1, 1)), LinearForm((1, 3))])[0]
+            [(1, 1), (1, 3)])[0]
         e, r = primitive_rescale(ds)
         for scale, g_old, g_new in zip(e, ds.cone.generators,
                                        r.cone.generators):

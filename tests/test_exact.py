@@ -108,7 +108,7 @@ class TestCycloNumber:
             x = CycloNumber(N, data.draw(st.lists(
                 rationals, min_size=euler_phi(N), max_size=euler_phi(N))))
         for got, want in ((x * q, x * Q), (q * x, Q * x), (x + q, x + Q),
-                          (q + x, Q + x), (x - q, x - Q)):
+                          (q + x, Q + x), (x - q, x - Q), (q - x, Q - x)):
             assert (got.N, got.coords) == (want.N, want.coords)
         assert (x == q) == (x == Q) == (q == x)
 

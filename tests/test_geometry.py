@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conezeta import geometry
-from conezeta.geometry import (Cone, SimplicialCone, Lattice, LinearForm,
-                               triangulate, open_simplicial_decomposition,
+from conezeta.geometry import (Cone, SimplicialCone, Lattice, triangulate,
+                               open_simplicial_decomposition,
                                free_superlattice, standard_lattice,
-                               refine_definite, dot, _pulling,
+                               refine_definite, _pulling,
                                extreme_rays_from_inequalities)
-from conezeta.linalg import mat_rank
+from conezeta.linalg import dot, mat_rank, primitive_int_vector
 
 
 class TestCone:
@@ -114,7 +114,7 @@ def _reference_chambers(C, forms):
         return [Cone(C.generators)]
     chambers = []
     seen = set()
-    classes = sorted({f.class_key() for f in forms})
+    classes = sorted({primitive_int_vector(f) for f in forms})
     for signs in itertools.product((1, -1), repeat=len(classes)):
         ineqs = base + [tuple(s * x for x in cls)
                         for s, cls in zip(signs, classes)]
@@ -163,7 +163,7 @@ def _random_forms(rnd, C):
         return None
     forms = cutting[:rnd.randint(1, 2)] + definite[:rnd.randint(0, 2)]
     rnd.shuffle(forms)
-    return [LinearForm(f) if rnd.random() < 0.5 else tuple(f) for f in forms]
+    return [primitive_int_vector(f) for f in forms]
 
 
 def _pieces(C, forms):
@@ -197,8 +197,8 @@ class TestRefineDefinite:
     def test_one_signed_forms_leave_the_cone_whole(self):
         C = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         forms = [(1, 0, 0), (1, 1, 0), (-1, -2, 0), (1, 1, 1)]
-        assert [ch.generators for ch in geometry._chambers(
-            C, [LinearForm(f) for f in forms])] == [C.generators]
+        assert [ch.generators for ch in geometry._chambers(C, forms)] \
+            == [C.generators]
         assert _pieces(C, forms) == [(((0, 0, 1), (0, 1, 0), (1, 0, 0)), 0)]
 
 

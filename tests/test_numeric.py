@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conezeta import numeric
 from conezeta.exact import CycloNumber, RootOfUnity, LatticeCharacter
-from conezeta.geometry import LinearForm
 from conezeta.linalg import mat_det
 from conezeta.polylog import ZExpression
 from conezeta.rewrite import integral_expression
@@ -202,13 +201,12 @@ class TestEvalWord:
 
 class TestEvalConeZeta:
     def test_one_dimensional_zeta(self):
-        r = eval_cone_zeta([[1]], [LinearForm((1,)), LinearForm((1,))],
-                           radius=2000)
+        r = eval_cone_zeta([[1]], [(1,), (1,)], radius=2000)
         assert abs(r.value - ZETA2) < 1e-6
 
     def test_one_dimensional_alternating(self):
         chi = LatticeCharacter([[1]], 2, [1])
-        r = eval_cone_zeta([[1]], [LinearForm((1,)), LinearForm((1,))],
+        r = eval_cone_zeta([[1]], [(1,), (1,)],
                            character=chi, radius=2000)
         assert abs(r.value + math.pi ** 2 / 12) < 1e-8
 
@@ -236,14 +234,13 @@ class TestEvalConeZeta:
             eval_cone_zeta([[1]], [(1,), (1,)], chi)
 
     def test_quadrant_product(self):
-        forms = [LinearForm((1, 0)), LinearForm((1, 0)),
-                 LinearForm((0, 1)), LinearForm((0, 1))]
+        forms = [(1, 0), (1, 0), (0, 1), (0, 1)]
         r = eval_cone_zeta([[1, 0], [0, 1]], forms, radius=600)
         assert abs(r.value - ZETA2 ** 2) < 1e-4
         assert abs(r.value - ZETA2 ** 2) < r.error + 1e-6
 
     def test_quadrant_zeta3(self):
-        forms = [LinearForm((1, 0)), LinearForm((1, 1)), LinearForm((1, 1))]
+        forms = [(1, 0), (1, 1), (1, 1)]
         r = eval_cone_zeta([[1, 0], [0, 1]], forms, radius=600)
         assert abs(r.value - ZETA3) < 1e-3
         assert abs(r.value - ZETA3) < r.error + 1e-6
@@ -341,7 +338,6 @@ class TestCharacterGrid:
 class TestQuadCheck:
     def test_zeta2_integral(self):
         chi = LatticeCharacter.trivial([[1]])
-        I = integral_expression([[1]], [LinearForm((1,)), LinearForm((1,))],
-                                chi)
+        I = integral_expression([[1]], [(1,), (1,)], chi)
         got = quad_check(I, maxdegree=6)
         assert abs(got - ZETA2) < 1e-5

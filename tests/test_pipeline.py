@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conezeta.exact import CycloNumber, LatticeCharacter, RootOfUnity
-from conezeta.geometry import Cone, LinearForm, open_simplicial_decomposition
+from conezeta.geometry import Cone, open_simplicial_decomposition
 from conezeta.geometry import free_superlattice
+from conezeta.linalg import dot
 from conezeta.polylog import DivergentResult, regularize_limit
 from conezeta.rewrite import FactorTerm, Integrand
 from conezeta.pipeline import (reduce_cone_zeta, PieceLimitExceeded,
@@ -64,8 +65,7 @@ class TestEndToEnd:
 
     def test_verify_reduction_passes(self):
         res = reduce_cone_zeta([[1]], [(1,), (1,)])
-        rep = verify_reduction(res, [[1]], [LinearForm((1,)),
-                                            LinearForm((1,))],
+        rep = verify_reduction(res, [[1]], [(1,), (1,)],
                                tolerance=1e-6, radius=2000)
         assert rep["ok"]
         assert rep["difference"] < 1e-6
@@ -78,7 +78,7 @@ class TestInducedDecomposition:
         from conezeta.exact import restrict_character, \
             induced_character_decompose
         gens = [(1, 0), (1, 2)]
-        forms = [LinearForm((1, 0)), LinearForm((1, 1)), LinearForm((1, 1))]
+        forms = [(1, 0), (1, 1), (1, 1)]
         C = Cone([tuple(Fraction(x) for x in g) for g in gens])
         pieces = open_simplicial_decomposition(C)
         m = 2
@@ -100,7 +100,7 @@ class TestInducedDecomposition:
                      for g1, g2 in zip(free_gens[0], free_gens[1])]
                 den = 1.0
                 for f in forms:
-                    den *= float(f(x))
+                    den *= float(dot(f, x))
                 for chi in chars:
                     total += complex(chi.eval(x).to_complex()) / den / kappa
                 # the character average must filter exactly the points of
@@ -116,8 +116,7 @@ class TestAgainstDirectSummation:
         forms = [(1, 0), (1, 1), (1, 1)]
         res = reduce_cone_zeta(gens, forms)
         sym = eval_zexpr(res.value)
-        direct = eval_cone_zeta(gens, [LinearForm(f) for f in forms],
-                                radius=800)
+        direct = eval_cone_zeta(gens, forms, radius=800)
         assert abs(sym.value - direct.value) < 1e-4
 
 
@@ -139,7 +138,7 @@ class TestGroupedIntegration:
         assert grouped.trace.replay()
 
         def per_term(I, trace, check_zero, stats):
-            fn = PNormalForm.zero()
+            fn = PNormalForm()
             for IU in pipeline._uni_terms(I, trace, stats):
                 fn = fn + pipeline.integrand_function(IU, check_zero, trace)
             return pipeline.regularize_limit(fn, check_zero)

@@ -210,7 +210,7 @@ class TestIntegrateP:
 class TestGermsAndRegularization:
     def test_shuffle_regularization_of_log(self):
         reg = word_regularization((W1,))
-        assert reg.get(0, ZExpression.zero()).is_zero()
+        assert reg.get(0, ZExpression()).is_zero()
         assert not reg[1].is_zero()
 
     def test_germ_extrapolation_matches_series(self):

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 
 from conezeta.exact import CycloNumber, RootOfUnity, LatticeCharacter
-from conezeta.geometry import SimplicialCone, LinearForm
+from conezeta.geometry import SimplicialCone
 from conezeta.derivation import build_derived_sequences, primitive_rescale
+from conezeta.linalg import primitive_int_vector
 from conezeta.rewrite import (FactorTerm, Integrand, ReductionTrace,
                               integral_expression, convergence_check,
                               root_split, change_coordinates, normalize_term,
@@ -137,7 +138,7 @@ class TestUniFactorize:
 
     def test_pipeline_generated_three_variable_instance(self):
         chi = LatticeCharacter.trivial([[1, 0], [0, 1]])
-        forms = [LinearForm((1, 0)), LinearForm((1, 1)), LinearForm((1, 1))]
+        forms = [(1, 0), (1, 1), (1, 1)]
         I = integral_expression([[1, 0], [0, 1]], forms, chi)
         for ds, J in _orthant_pieces(I):
             out = uni_factorize(J)
@@ -156,26 +157,21 @@ class TestUniFactorize:
 
 
 def _orthant_pieces(I):
-    seen = set()
-    sforms = []
+    sforms = {}
     for f in I.factors:
-        lf = LinearForm([Fraction(x) for x in f.exps])
-        if lf.class_key() not in seen:
-            seen.add(lf.class_key())
-            sforms.append(lf)
+        sforms.setdefault(primitive_int_vector(f.exps), f.exps)
     n = I.nvars
     orth = SimplicialCone([tuple(1 if i == j else 0 for j in range(n))
                            for i in range(n)])
     pieces = [primitive_rescale(ds)[1]
-              for ds in build_derived_sequences(orth, sforms)]
+              for ds in build_derived_sequences(orth, list(sforms.values()))]
     return list(zip(pieces, change_coordinates(I, pieces)))
 
 
 class TestIntegralExpression:
     def test_zeta2_shape(self):
         chi = LatticeCharacter.trivial([[1]])
-        I = integral_expression([[1]], [LinearForm((1,)), LinearForm((1,))],
-                                chi)
+        I = integral_expression([[1]], [(1,), (1,)], chi)
         assert I.nvars == 2
         assert len(I.factors) == 1
         assert I.factors[0].exps == (1, 1)
@@ -184,8 +180,7 @@ class TestIntegralExpression:
         # coefficient of y1^i y2^j counts lattice points with form values
         # (i, j); for generators [[1]], forms x, x that is [i == j >= 1]
         chi = LatticeCharacter.trivial([[1]])
-        I = integral_expression([[1]], [LinearForm((1,)), LinearForm((1,))],
-                                chi)
+        I = integral_expression([[1]], [(1,), (1,)], chi)
         terms = integrand_series(I, DEG)
         for mono, c in terms.items():
             i, j = mono
@@ -195,7 +190,7 @@ class TestIntegralExpression:
     def test_rational_generators_scale_coefficient(self):
         chi = LatticeCharacter.trivial([[Fraction(1, 2)]])
         I = integral_expression([[Fraction(1, 2)]],
-                                [LinearForm((1,)), LinearForm((1,))], chi)
+                                [(1,), (1,)], chi)
         # clearing the 1/2 scales both forms by 2, so the coefficient
         # compensates by 4
         assert (I.coeff - CycloNumber.from_rational(4, 1)).is_zero()
@@ -209,7 +204,7 @@ class TestChangeCoordinates:
         from conezeta.numeric import integrand_eval
         from conezeta.linalg import mat_det
         chi = LatticeCharacter.trivial([[1, 0], [0, 1]])
-        forms = [LinearForm((1, 0)), LinearForm((1, 1)), LinearForm((1, 1))]
+        forms = [(1, 0), (1, 1), (1, 1)]
         I = integral_expression([[1, 0], [0, 1]], forms, chi)
         out = _orthant_pieces(I)
         assert len(out) >= 2
@@ -271,8 +266,7 @@ class TestConvergenceCheckP3:
             for n in range(1, 5):
                 for rows in itertools.combinations_with_replacement(
                         alphabet, n):
-                    predicted = convergence_check(
-                        units(d), [LinearForm(r) for r in rows])
+                    predicted = convergence_check(units(d), rows)
                     actual = self.brute_force_converges(rows, d)
                     assert predicted == actual, (d, rows)
                     checked += 1
