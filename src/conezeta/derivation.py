@@ -115,7 +115,7 @@ def _derive_branches(gens, forms):
         level = [(dot(f, g),) for f in forms]
         return [([g], [level])]
     basis = cone.span_basis()
-    gens_c = [tuple(cone.span_coords(g)) for g in cone.generators]
+    gens_c = [cone.span_coords(g) for g in cone.generators]
     forms_c = [tuple(dot(f, b) for b in basis) for f in forms]
     branches = []
     classes = [primitive_int_vector(f) for f in forms_c]

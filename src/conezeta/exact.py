@@ -6,8 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .linalg import (_rref, mat_inverse, mat_mul, smith_normal_form,
-                     solve_consistent)
+from .linalg import _rref, mat_mul, smith_normal_form, solve_consistent
 
 
 def rational_to_str(q):
@@ -223,7 +222,7 @@ class CycloNumber:
     def inverse(self):
         """Multiplicative inverse: den times the solution x of num * x = 1,
         a linear system whose column j holds the coordinates of
-        num * zeta_N^j."""
+        num * zeta_N^j; the solution is R[j][d] / den over the integers."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         table, d = _reduction_table(self.N)
@@ -233,10 +232,10 @@ class CycloNumber:
                 for j in range(d):
                     for t, r in table[i + j]:
                         rows[t][j] += a * r
-        x = [row[d] for row in _rref(rows, d)[0]]
-        den = lcm(*(c.denominator for c in x))
-        return _cyclo(self.N, [c.numerator * (den // c.denominator) * self.den
-                               for c in x], den)
+        R, _, den, _ = _rref(rows, d)
+        sign = -1 if den < 0 else 1
+        return _cyclo(self.N, [sign * self.den * row[d] for row in R],
+                      sign * den)
 
     def is_zero(self):
         return not any(self.num)
@@ -399,7 +398,7 @@ def induced_character_decompose(L, chi):
         raise ValueError("lattices must have equal rank")
     # coordinates of the sublattice basis in the L basis
     M = [_lattice_coords(Lbasis, b) for b in sub_basis]
-    S, V = smith_normal_form(M)
+    S, _, Vinv = smith_normal_form(M)
     d = len(M)
     divisors = [S[i][i] for i in range(d)]
     if any(di == 0 for di in divisors):
@@ -407,7 +406,7 @@ def induced_character_decompose(L, chi):
     # adapted basis C of L: sub = M . Lbasis and U M V = S for some
     # unimodular U, so with C = V^{-1} . Lbasis the rows of U . sub are
     # divisors[i] * C[i]
-    C = mat_mul(mat_inverse(V), Lbasis)
+    C = mat_mul(Vinv, Lbasis)
     # chi on the scaled vectors d_i * C_i (these lie in the sublattice)
     base_roots = []
     for i in range(d):

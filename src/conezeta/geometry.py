@@ -7,9 +7,8 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import (dot, identity, mat_det, mat_inverse, mat_rank,
-                     nullspace, primitive_ray, smith_normal_form,
-                     solve_consistent)
+from .linalg import (dot, identity, mat_det, mat_rank, nullspace,
+                     primitive_ray, smith_normal_form, solve_consistent)
 
 
 def _basis_coords(basis, x):
@@ -18,12 +17,14 @@ def _basis_coords(basis, x):
 
 
 class Lattice:
-    """Full-rank-in-its-span lattice given by basis rows."""
+    """Full-rank-in-its-span lattice given by basis rows; int entries stay
+    ints, others become Fractions."""
 
     __slots__ = ("basis",)
 
     def __init__(self, basis):
-        self.basis = tuple(tuple(Fraction(x) for x in row) for row in basis)
+        self.basis = tuple(tuple(x if isinstance(x, int) else Fraction(x)
+                                 for x in row) for row in basis)
         if self.basis and mat_rank(self.basis) != len(self.basis):
             raise ValueError("lattice basis must be linearly independent")
 
@@ -35,31 +36,31 @@ class Lattice:
             c = self.coords_of(x)
         except ValueError:
             return False
-        return all(Fraction(v).denominator == 1 for v in c)
+        return all(v.denominator == 1 for v in c)
 
     def __repr__(self):
         return "Lattice(%s)" % (list(map(list, self.basis)),)
 
 
-def standard_lattice(m):
-    return Lattice(identity(m))
+def _saturation(generators):
+    """(basis, V) for the lattice Z^m intersected with the rational span of
+    the generators.  The rows of `basis` are the first r rows of V^-1, so a
+    point x of the span has coordinates (x V)[:r] in them and (x V)[r:] = 0;
+    V is None for a full-rank span, whose basis is the standard one."""
+    gens = [primitive_ray(g) for g in generators]  # scaling keeps the span
+    m = len(gens[0])
+    r = mat_rank(gens)
+    if r == m:
+        return identity(m), None
+    # U M V = S with the nonzero diagonal first: the rows of M V vanish
+    # past column r, and the rows of S V^-1 span the row space
+    _, V, Vinv = smith_normal_form(gens)
+    return Vinv[:r], V
 
 
 def span_integer_lattice(generators):
     """Lattice Z^m intersected with the rational span of the generators."""
-    gens = []
-    for g in generators:  # int or Fraction entries; scaling keeps the span
-        den = lcm(*(x.denominator for x in g))
-        gens.append([int(x * den) for x in g])
-    m = len(gens[0])
-    r = mat_rank(gens)
-    if r == m:
-        return standard_lattice(m)
-    S, V = smith_normal_form(gens)
-    Vinv = mat_inverse(V)
-    # rows of S*Vinv span the row space; saturation basis = first r rows of Vinv
-    basis = [[int(x) for x in row] for row in Vinv[:r]]
-    return Lattice(basis)
+    return Lattice(_saturation(generators)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,9 @@ class Cone:
     def span_basis(self):
         """Rows: integer basis of the lattice Z^m ∩ span (also a Q-basis)."""
         if self._span is None:
-            self._span = tuple(span_integer_lattice(self.generators).basis)
+            basis, V = _saturation(self.generators)
+            self._span = tuple(map(tuple, basis))
+            self._coord_cols = None if V is None else tuple(zip(*V))
         return self._span
 
     @property
@@ -91,7 +94,16 @@ class Cone:
         return len(self.span_basis())
 
     def span_coords(self, x):
-        return _basis_coords(self.span_basis(), x)
+        """Coordinates of x in the span basis: the first dim entries of
+        x V, the others zero on the span (ValueError off it); x itself for
+        a full-dimensional cone.  Integer points get integer coordinates."""
+        d = self.dim
+        if self._coord_cols is None:
+            return tuple(x)
+        y = [dot(x, col) for col in self._coord_cols]
+        if any(y[d:]):
+            raise ValueError("inconsistent linear system")
+        return tuple(y[:d])
 
     def in_span(self, x):
         try:
@@ -140,7 +152,7 @@ class Cone:
         except ValueError:
             return None
         if self.dim == 1:
-            return [p[0] / self.span_coords(self.generators[0])[0]]
+            return [Fraction(p[0]) / self.span_coords(self.generators[0])[0]]
         return [dot(n, p) for n in self.facet_normals()]
 
     def contains(self, x):
@@ -163,8 +175,8 @@ class SimplicialCone(Cone):
         if normalize:
             gens = [primitive_ray(g) for g in generators]
         else:
-            gens = [tuple(int(x) if Fraction(x).denominator == 1 else
-                          Fraction(x) for x in g) for g in generators]
+            gens = [tuple(x.numerator if x.denominator == 1 else Fraction(x)
+                          for x in g) for g in generators]
         if mat_rank(gens) != len(gens):
             raise ValueError("generators of a simplicial cone must be independent")
         self.ambient_dim = len(gens[0])
@@ -265,27 +277,22 @@ def free_superlattice(delta, L):
 # chamber refinement w.r.t. a family of forms
 
 def extreme_rays_from_inequalities(ineqs, d):
-    """Extreme rays of {x : a.x >= 0 for a in ineqs} (assumed pointed)."""
-    ineqs = [tuple(Fraction(x) for x in a) for a in ineqs]
+    """Primitive extreme rays of {x : a.x >= 0 for a in ineqs} (assumed
+    pointed); integer inequalities keep the search on ints."""
     rays = []
     seen = set()
-    for sub in itertools.combinations(range(len(ineqs)), d - 1):
-        rows = [ineqs[i] for i in sub]
-        if mat_rank(rows) != d - 1:
+    for sub in itertools.combinations(ineqs, d - 1):
+        ns = nullspace(sub, d)
+        if len(ns) != 1:  # the d - 1 rows have rank below d - 1
             continue
-        ns = nullspace(rows, d)
-        if len(ns) != 1:
-            continue
-        for sign in (1, -1):
-            r = [sign * x for x in ns[0]]
+        ray = primitive_ray(ns[0])
+        for r in (ray, tuple(-x for x in ray)):
             vals = [dot(a, r) for a in ineqs]
             if all(v >= 0 for v in vals):
-                tight = [ineqs[i] for i, v in enumerate(vals) if v == 0]
-                if mat_rank(tight) == d - 1:
-                    key = primitive_ray(r)
-                    if key not in seen:
-                        seen.add(key)
-                        rays.append(key)
+                tight = [a for a, v in zip(ineqs, vals) if v == 0]
+                if r not in seen and mat_rank(tight) == d - 1:
+                    seen.add(r)
+                    rays.append(r)
                 break
     return rays
 
@@ -333,8 +340,9 @@ def _admissible_interior_ray(delta, forms):
         return primitive_ray(base)
     k = 1
     while k < 10000:
-        for j, g in enumerate(gens):
-            w = [Fraction(b) + Fraction(1, k) * gj for b, gj in zip(base, g)]
+        for g in gens:
+            # the ray of base + g / k, scaled by k to stay integral
+            w = [k * b + gj for b, gj in zip(base, g)]
             if ok(w) and delta.interior_contains(w):
                 return primitive_ray(w)
         k += 1

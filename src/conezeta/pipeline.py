@@ -126,22 +126,26 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
     total = ZExpression()
     stats = {"pieces": len(pieces), "characters": 0, "branches": 0,
              "uni_terms": 0, "distinct_integrands": 0}
+    # the induced characters of a piece share its exponent classes, so each
+    # orthant decomposition is derived once per call
+    derived = {}
     for face, L, lbar, free_gens, kappa in prepared:
         chi_l = restrict_character(character, L.basis)
         for chi in induced_character_decompose(lbar.basis, chi_l):
             stats["characters"] += 1
             I = integral_expression(free_gens, forms, chi)
             I = I.scaled(Fraction(1, kappa))
-            total = total + _reduce_integrand(I, trace, check_zero, stats)
+            total = total + _reduce_integrand(I, trace, check_zero, stats,
+                                              derived)
     return ReductionResult(total, stats, trace)
 
 
-def _reduce_integrand(I, trace, check_zero, stats):
+def _reduce_integrand(I, trace, check_zero, stats, derived):
     """Reduce a type-S integrand on the open unit box to a ZExpression."""
     # the recipe is linear in the uni-term's coefficient, so uni-terms with
     # equal factors are integrated once, with their coefficients summed
     groups = {}
-    for IU in _uni_terms(I, trace, stats):
+    for IU in _uni_terms(I, trace, stats, derived):
         key = (IU.factors, IU.nvars)
         groups[key] = groups[key] + IU.coeff if key in groups else IU.coeff
     # per-term limits at 1 may diverge with cancellation across terms, so
@@ -157,18 +161,22 @@ def _reduce_integrand(I, trace, check_zero, stats):
     return regularize_limit(fn, check_zero)
 
 
-def _uni_terms(I, trace, stats):
+def _uni_terms(I, trace, stats, derived):
     """Uni-factor integrands summing to a type-S integrand I, over the
-    derived-sequence branches of the coordinate orthant."""
+    derived-sequence branches of the coordinate orthant; `derived` maps the
+    exponent classes to the rescaled branches already built for them."""
     n = I.nvars
     # decompose the coordinate orthant by the factor exponent classes
     sforms = {}
     for f in I.factors:
         sforms.setdefault(primitive_int_vector(f.exps), f.exps)
-    orthant = SimplicialCone(identity(n))
-    branches = build_derived_sequences(orthant, list(sforms.values()))
-    stats["branches"] += len(branches)
-    rescaled = [primitive_rescale(ds)[1] for ds in branches]
+    key = (n, tuple(sforms.values()))
+    if key not in derived:
+        orthant = SimplicialCone(identity(n))
+        branches = build_derived_sequences(orthant, list(sforms.values()))
+        derived[key] = [primitive_rescale(ds)[1] for ds in branches]
+    rescaled = derived[key]
+    stats["branches"] += len(rescaled)
     out = []
     for ID in change_coordinates(I, rescaled):
         out.extend(uni_factorize(ID, trace))

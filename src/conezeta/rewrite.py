@@ -257,10 +257,10 @@ def change_coordinates(I, pieces):
         gens = ds.cone.generators  # columns of the substitution matrix
         if len(gens) != n:
             raise ValueError("piece dimension mismatch")
-        A = [[Fraction(g[i]) for g in gens] for i in range(n)]  # A[i][k]
+        A = [[g[i] for g in gens] for i in range(n)]  # A[i][k]
         for row in A:
             for x in row:
-                if x < 0 or Fraction(x).denominator != 1:
+                if x < 0 or x.denominator != 1:
                     raise AssertionError("substitution matrix not natural")
         factors = []
         for f in I.factors:

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from conezeta import derivation
 from conezeta.geometry import Cone, SimplicialCone
 from conezeta.derivation import (DerivedSequence, build_derived_sequences,
                                  primitive_rescale)
-from conezeta.linalg import mat_rank
+from conezeta.linalg import identity, mat_rank
 
 
 def random_instance(rnd, n):
@@ -59,6 +60,23 @@ class TestBuildDerivedSequences:
                 if not C.contains(x):
                     assert hits == 0
                 assert int_hits <= 1
+
+    def test_integer_forms_stay_integers_at_every_level(self, monkeypatch):
+        # coordinates in an integer span basis are integers, so the forms
+        # and generators of every recursive call are ints, not Fractions
+        calls = []
+        inner = derivation._derive_branches
+
+        def recording(gens, forms):
+            calls.append({type(x) for v in list(gens) + list(forms)
+                          for x in v})
+            return inner(gens, forms)
+
+        monkeypatch.setattr(derivation, "_derive_branches", recording)
+        branches = build_derived_sequences(SimplicialCone(identity(3)),
+                                           [(1, 2, 0), (0, 1, 1), (1, 0, 3)])
+        assert branches and len(calls) >= 4
+        assert all(types == {int} for types in calls), calls
 
     def test_rejects_vanishing_form(self):
         C = SimplicialCone([(1, 0), (0, 1)])

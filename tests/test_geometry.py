@@ -7,10 +7,11 @@ import pytest
 from conezeta import geometry
 from conezeta.geometry import (Cone, SimplicialCone, Lattice, triangulate,
                                open_simplicial_decomposition,
-                               free_superlattice, standard_lattice,
+                               span_integer_lattice,
+                               free_superlattice,
                                refine_definite, _pulling,
                                extreme_rays_from_inequalities)
-from conezeta.linalg import dot, mat_rank, primitive_int_vector
+from conezeta.linalg import dot, identity, mat_rank, primitive_int_vector
 
 
 class TestCone:
@@ -25,6 +26,35 @@ class TestCone:
         C = Cone([(1, 0), (-1, 0), (0, 1)])
         with pytest.raises(ValueError):
             triangulate(C)
+
+
+class TestIntegerSpan:
+    """Integer generators give integer lattice bases and coordinates, and
+    the one division (along a ray) is exact."""
+
+    def test_lattice_basis_and_coordinates_are_ints(self):
+        gens = [(1, 0, 2), (0, 1, 1), (1, 1, 3)]
+        basis = span_integer_lattice(gens).basis
+        assert len(basis) == 2
+        assert all(type(x) is int for row in basis for x in row)
+        C = Cone(gens)
+        for g in gens + [(2, 3, 7)]:
+            coords = C.span_coords(g)
+            assert all(type(c) is int for c in coords)
+            assert tuple(dot(coords, col) for col in zip(*basis)) == g
+        with pytest.raises(ValueError):
+            C.span_coords((0, 0, 1))
+
+    def test_signs_on_a_ray_are_exact(self):
+        C = Cone([(2, 4)])  # the ray through (1, 2)
+        for x, value in (((3, 6), 3), ((0, 0), 0), ((-1, -2), -1),
+                         ((Fraction(1, 3), Fraction(2, 3)), Fraction(1, 3))):
+            vals = C._signs(x)
+            assert vals == [value] and type(vals[0]) is Fraction
+        assert C._signs((1, 1)) is None
+        assert C.contains((3, 6)) and C.interior_contains((3, 6))
+        assert C.contains((0, 0)) and not C.interior_contains((0, 0))
+        assert not C.contains((-1, -2)) and not C.contains((1, 1))
 
 
 class TestTriangulate:
@@ -73,7 +103,7 @@ class TestOpenDecomposition:
 class TestFreeSuperlattice:
     def test_non_unimodular_example(self):
         C = SimplicialCone([(1, 0), (1, 2)])
-        L = standard_lattice(2)
+        L = Lattice(identity(2))
         lbar, gens, kappa = free_superlattice(C, L)
         assert kappa == 2
         assert sorted(tuple(map(Fraction, g)) for g in gens) == [
@@ -84,7 +114,7 @@ class TestFreeSuperlattice:
 
     def test_unimodular_is_identity(self):
         C = SimplicialCone([(1, 0), (0, 1)])
-        lbar, gens, kappa = free_superlattice(C, standard_lattice(2))
+        lbar, gens, kappa = free_superlattice(C, Lattice(identity(2)))
         assert kappa == 1
         assert sorted(tuple(map(int, g)) for g in gens) == [(0, 1), (1, 0)]
 
@@ -92,7 +122,7 @@ class TestFreeSuperlattice:
         # every interior lattice point is a positive integer combination of
         # the free generators
         C = SimplicialCone([(1, 0), (1, 2)])
-        lbar, gens, kappa = free_superlattice(C, standard_lattice(2))
+        lbar, gens, kappa = free_superlattice(C, Lattice(identity(2)))
         cols = [[Fraction(g[i]) for g in gens] for i in range(2)]
         from conezeta.linalg import solve_consistent
         for x in itertools.product(range(0, 7), repeat=2):

@@ -1,16 +1,19 @@
 """Properties of the exact linear algebra kernels, each checked against an
 independent reference: the Leibniz sum for determinants, nonzero minors for
-rank, and matrix products for inverses, solutions and nullspaces."""
+rank, matrix products for inverses, solutions and nullspaces, and a textbook
+Gauss-Jordan over Fractions for the values that depend on the pivot rule."""
 
 import itertools
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conezeta.linalg import (mat_det, mat_inverse, mat_mul, mat_rank,
-                             nullspace, primitive_int_vector, primitive_ray,
+from conezeta.geometry import Cone
+from conezeta.linalg import (identity, mat_det, mat_inverse, mat_mul,
+                             mat_rank, nullspace, primitive_int_vector,
+                             primitive_ray, smith_normal_form,
                              solve_consistent)
 
 # zeros are drawn often so that singular and rank-deficient cases occur
@@ -142,3 +145,154 @@ def test_primitive_vectors(v):
     assert all(isinstance(r, int) for r in ray) and gcd(*ray) == 1
     key = primitive_int_vector(v)
     assert key == (ray if lead > 0 else tuple(-r for r in ray))
+
+
+# Integer and mixed int/Fraction matrices go through the same integer
+# elimination as Fraction ones; every value must equal the one computed for
+# the matrix as Fractions and the one of a Gauss-Jordan over Fractions that
+# pivots on the first nonzero row.
+
+small_ints = st.one_of(st.just(0), st.integers(-3, 3))
+mixed = st.one_of(small_ints, entries)
+
+
+def int_or_mixed_matrices(n, m):
+    return st.one_of(
+        *(st.lists(st.lists(e, min_size=m, max_size=m), min_size=n,
+                   max_size=n) for e in (small_ints, mixed)))
+
+
+def as_fractions(A):
+    return [[Fraction(x) for x in row] for row in A]
+
+
+def fraction_rref(rows, m):
+    """Gauss-Jordan over Fractions on the first m columns: (R, pivots)."""
+    A = as_fractions(rows)
+    pivots = []
+    for col in range(m):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(A)) if A[r][col]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        A[rank] = [a / A[rank][col] for a in A[rank]]
+        for r in range(len(A)):
+            if r != rank and A[r][col]:
+                g = A[r][col]
+                A[r] = [a - g * b for a, b in zip(A[r], A[rank])]
+        pivots.append(col)
+    return A, pivots
+
+
+@st.composite
+def shaped(draw, square=False):
+    n = draw(st.integers(1, 4))
+    m = n if square else draw(st.integers(1, 4))
+    return draw(int_or_mixed_matrices(n, m))
+
+
+@given(A=shaped(), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_rank_solve_nullspace_match_fraction_reference(A, data):
+    m = len(A[0])
+    F = as_fractions(A)
+    R, pivots = fraction_rref(A, m)
+    assert mat_rank(A) == mat_rank(F) == len(pivots)
+    expected = []
+    for fc in (c for c in range(m) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(m)]
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc]
+        expected.append(v)
+    assert nullspace(A) == nullspace(F) == expected
+    b = data.draw(st.lists(mixed, min_size=len(A), max_size=len(A)))
+    Rb, pb = fraction_rref([row + [c] for row, c in zip(A, b)], m + 1)
+    if pb and pb[-1] == m:
+        for M in (A, F):
+            with pytest.raises(ValueError, match="inconsistent"):
+                solve_consistent(M, b)
+        return
+    x = [Fraction(0)] * m
+    for row, pc in zip(Rb, pb):
+        x[pc] = row[m]
+    assert solve_consistent(A, b) == solve_consistent(F, b) == x
+
+
+@given(A=shaped(square=True))
+@settings(max_examples=120, deadline=None)
+def test_det_and_inverse_match_fraction_reference(A):
+    F = as_fractions(A)
+    det = leibniz_det(F)
+    assert mat_det(A) == mat_det(F) == det
+    if all(isinstance(x, int) for row in A for x in row):
+        assert isinstance(mat_det(A), int)
+    if det == 0:
+        for M in (A, F):
+            with pytest.raises(ValueError, match="singular"):
+                mat_inverse(M)
+        return
+    n = len(A)
+    R, _ = fraction_rref([row + unit for row, unit in zip(F, identity(n))],
+                         n)
+    assert mat_inverse(A) == mat_inverse(F) == [row[n:] for row in R]
+
+
+@given(M=st.integers(1, 4).flatmap(lambda n: st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                       min_size=n, max_size=n))))
+@settings(max_examples=150, deadline=None)
+def test_smith_normal_form(M):
+    S, V, W = smith_normal_form(M)
+    n, m = len(M), len(M[0])
+    assert len(S) == n and all(len(row) == m for row in S)
+    assert all(S[i][j] == 0 for i in range(n) for j in range(m) if i != j)
+    diag = [S[i][i] for i in range(min(n, m))]
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b == 0) if a == 0 else (b % a == 0)
+    assert mat_mul(V, W) == identity(m) == mat_mul(W, V)
+    assert abs(mat_det(V)) == 1
+    r = mat_rank(M)
+    assert mat_rank(S) == r == sum(1 for d in diag if d)
+    # the columns of M V past the rank vanish, which the span coordinates
+    # of a cone rely on
+    assert all(x == 0 for row in mat_mul(M, V) for x in row[r:])
+
+
+@st.composite
+def deficient_generators(draw):
+    """Integer generators of rank r < m: r independent vectors and up to
+    two nonnegative combinations of them, with r coefficients for a point
+    of their span."""
+    m = draw(st.integers(2, 4))
+    r = draw(st.integers(1, m - 1))
+    rows = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    base = draw(st.lists(rows, min_size=r, max_size=r))
+    assume(mat_rank(base) == r)
+    extra = draw(st.lists(st.lists(st.integers(0, 2), min_size=r,
+                                   max_size=r), max_size=2))
+    gens = base + [[sum(c * b[j] for c, b in zip(cs, base))
+                    for j in range(m)] for cs in extra if any(cs)]
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
+    return gens, coeffs
+
+
+@given(case=deficient_generators())
+@settings(max_examples=150, deadline=None)
+def test_span_coords_are_integer_coefficients(case):
+    gens, coeffs = case
+    C = Cone(gens)
+    r = len(coeffs)
+    assert C.dim == r
+    basis = C.span_basis()
+    x = [sum(c * b[j] for c, b in zip(coeffs, basis))
+         for j in range(C.ambient_dim)]
+    got = C.span_coords(x)
+    assert list(got) == coeffs
+    assert all(isinstance(c, int) for c in got)
+    off = next(e for e in identity(C.ambient_dim)
+               if mat_rank(list(basis) + [e]) > r)
+    with pytest.raises(ValueError):
+        C.span_coords([a + b for a, b in zip(x, off)])
+    assert not C.in_span([a + b for a, b in zip(x, off)])

@@ -137,9 +137,9 @@ class TestGroupedIntegration:
             < grouped.stats["uni_terms"]
         assert grouped.trace.replay()
 
-        def per_term(I, trace, check_zero, stats):
+        def per_term(I, trace, check_zero, stats, derived):
             fn = PNormalForm()
-            for IU in pipeline._uni_terms(I, trace, stats):
+            for IU in pipeline._uni_terms(I, trace, stats, derived):
                 fn = fn + pipeline.integrand_function(IU, check_zero, trace)
             return pipeline.regularize_limit(fn, check_zero)
 
