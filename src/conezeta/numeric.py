@@ -8,8 +8,6 @@ as an independent check of the pipeline output.
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import RootOfUnity
 from .linalg import mat_inverse
 from .polylog import mzv_symbol_from_word
@@ -217,6 +215,8 @@ def _character_values(character, m):
     Raises ValueError for a basis that is not square of size m or is
     singular, and for a point outside the lattice.
     """
+    import numpy as np
+
     B = character.basis
     if len(B) != m or any(len(row) != m for row in B):
         raise ValueError("character basis must be square of size %d" % m)
@@ -251,6 +251,7 @@ def _hurwitz_sum(g, fms, P, chi):
     bound covers the character values (each within 10 units of roundoff of
     its root) and the rounding of the result to doubles."""
     import mpmath as mp
+    import numpy as np
 
     n = len(fms)
     s = 1 if g > 0 else -1
@@ -282,6 +283,8 @@ def eval_cone_zeta(generators, forms, character=None, radius=400,
     that is not square or is singular, or a point outside the character's
     lattice, raises ValueError.
     """
+    import numpy as np
+
     from .geometry import Cone
 
     gens = [tuple(Fraction(x) for x in g) for g in generators]

@@ -31,34 +31,48 @@ class PieceLimitExceeded(Exception):
     """The decomposition produced more pieces than allowed."""
 
 
-def execute_recipe(node, check_zero=None):
-    """Evaluate a univariate reduction recipe to a polylog normal form."""
+def execute_recipe(node, check_zero=None, memo=None):
+    """Evaluate a univariate reduction recipe to a polylog normal form.
+
+    Equal sub-integrals share one node object; `memo` maps id(node) to
+    (node, value) for every node evaluated so far, so each node is
+    evaluated once (a fresh dict if omitted)."""
+    if memo is None:
+        memo = {}
+
+    def value(child):
+        hit = memo.get(id(child))
+        if hit is None:
+            hit = memo[id(child)] = (child, execute_recipe(child, check_zero,
+                                                           memo))
+        return hit[1]
     op = node[0]
     if op == "one":
         return PNormalForm.one()
     if op == "sum":
         out = PNormalForm()
         for coeff, child in node[1]:
-            out = out + execute_recipe(child, check_zero).scale(coeff)
+            out = out + value(child).scale(coeff)
         return out
     if op == "mul":
-        pnf = execute_recipe(node[2], check_zero)
+        pnf = value(node[2])
         for root, c, mu, s in node[1]:
             pnf = multiply_factor(pnf, root, c, mu, s)
         return pnf
     if op == "int":
-        return integrate_P(execute_recipe(node[1], check_zero), check_zero)
+        return integrate_P(value(node[1]), check_zero)
     if op == "const":
-        return PNormalForm.constant(regularize_limit(
-            execute_recipe(node[1], check_zero), check_zero))
+        return PNormalForm.constant(regularize_limit(value(node[1]),
+                                                     check_zero))
     raise ValueError("unknown recipe node %r" % (op,))
 
 
-def integrand_function(I, check_zero=None, trace=None):
+def integrand_function(I, check_zero=None, trace=None, memo=None):
     """Partial box integral of a uni-factor integrand against prod dy_i/y_i,
-    as a normal form in the last variable (the final limit at 1 pending)."""
-    recipe = reduce_to_univariate(I, trace)
-    pnf = execute_recipe(recipe, check_zero)
+    as a normal form in the last variable (the final limit at 1 pending).
+    `memo` holds the recipe nodes and values of the calling reduction."""
+    recipe = reduce_to_univariate(I, trace, memo)
+    pnf = execute_recipe(recipe, check_zero, memo)
     return integrate_P(pnf, check_zero)
 
 
@@ -126,9 +140,10 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
     total = ZExpression()
     stats = {"pieces": len(pieces), "characters": 0, "branches": 0,
              "uni_terms": 0, "distinct_integrands": 0}
-    # the induced characters of a piece share its exponent classes, so each
-    # orthant decomposition is derived once per call
-    derived = {}
+    # work done once per call and dropped with it: the orthant branches of
+    # each exponent-class list (the induced characters of a piece share
+    # them), one recipe node per sub-integral and the value of each node
+    memo = {}
     for face, L, lbar, free_gens, kappa in prepared:
         chi_l = restrict_character(character, L.basis)
         for chi in induced_character_decompose(lbar.basis, chi_l):
@@ -136,16 +151,16 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
             I = integral_expression(free_gens, forms, chi)
             I = I.scaled(Fraction(1, kappa))
             total = total + _reduce_integrand(I, trace, check_zero, stats,
-                                              derived)
+                                              memo)
     return ReductionResult(total, stats, trace)
 
 
-def _reduce_integrand(I, trace, check_zero, stats, derived):
+def _reduce_integrand(I, trace, check_zero, stats, memo):
     """Reduce a type-S integrand on the open unit box to a ZExpression."""
     # the recipe is linear in the uni-term's coefficient, so uni-terms with
     # equal factors are integrated once, with their coefficients summed
     groups = {}
-    for IU in _uni_terms(I, trace, stats, derived):
+    for IU in _uni_terms(I, trace, stats, memo):
         key = (IU.factors, IU.nvars)
         groups[key] = groups[key] + IU.coeff if key in groups else IU.coeff
     # per-term limits at 1 may diverge with cancellation across terms, so
@@ -157,25 +172,25 @@ def _reduce_integrand(I, trace, check_zero, stats, derived):
             continue
         stats["distinct_integrands"] += 1
         IU = Integrand(coeff, factors, nvars)
-        fn = fn + integrand_function(IU, check_zero, trace)
+        fn = fn + integrand_function(IU, check_zero, trace, memo)
     return regularize_limit(fn, check_zero)
 
 
-def _uni_terms(I, trace, stats, derived):
+def _uni_terms(I, trace, stats, memo):
     """Uni-factor integrands summing to a type-S integrand I, over the
-    derived-sequence branches of the coordinate orthant; `derived` maps the
+    derived-sequence branches of the coordinate orthant; `memo` maps the
     exponent classes to the rescaled branches already built for them."""
     n = I.nvars
     # decompose the coordinate orthant by the factor exponent classes
     sforms = {}
     for f in I.factors:
         sforms.setdefault(primitive_int_vector(f.exps), f.exps)
-    key = (n, tuple(sforms.values()))
-    if key not in derived:
+    key = ("branches", n, tuple(sforms.values()))
+    if key not in memo:
         orthant = SimplicialCone(identity(n))
         branches = build_derived_sequences(orthant, list(sforms.values()))
-        derived[key] = [primitive_rescale(ds)[1] for ds in branches]
-    rescaled = derived[key]
+        memo[key] = [primitive_rescale(ds)[1] for ds in branches]
+    rescaled = memo[key]
     stats["branches"] += len(rescaled)
     out = []
     for ID in change_coordinates(I, rescaled):

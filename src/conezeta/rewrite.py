@@ -232,15 +232,14 @@ def convergence_check(generators, forms):
 def root_split(root, prim_exps, c):
     """Split e*w^c/(1-e*w^c), w = y^prim, into factors with monomial w.
 
-    Returns a list of (CycloNumber coefficient, [FactorTerm...]) whose sum
-    equals the input factor:  prod_{b^c=e} (1 + b*w/(1-b*w)) - 1.
+    Returns c terms (1/c, [FactorTerm(b, prim, 1, 1)]), one for each b with
+    b^c = e, whose sum equals the input factor: the sum over those b of
+    1/(1-b*w) is c/(1-e*w^c), so the sum of b*w/(1-b*w) is
+    c*e*w^c/(1-e*w^c).
     """
-    roots = nth_roots(root, c)
-    out = []
-    for r in range(1, c + 1):
-        for combo in itertools.combinations(roots, r):
-            out.append((ONE, [FactorTerm(b, prim_exps, 1, 1) for b in combo]))
-    return out
+    inv = CycloNumber.from_rational(Fraction(1, c), 1)
+    return [(inv, [FactorTerm(b, prim_exps, 1, 1)])
+            for b in nth_roots(root, c)]
 
 
 def change_coordinates(I, pieces):
@@ -406,7 +405,7 @@ def _pair_reduce(work, slot, trace=None):
     the first adjacent pair of key-sorted poles: the key starts with the
     leading variable.  Returns a list of (coeff, [factors])."""
     done = []
-    # pairing can cycle (the known-defect job k2_slot of perfbench/NOTES.md)
+    # no termination proof is known for pairing; a cycle becomes an error
     fuel = 100000
     while work:
         fuel -= 1
@@ -414,6 +413,12 @@ def _pair_reduce(work, slot, trace=None):
             raise RuntimeError("pair reduction did not terminate")
         c, fl = work.pop()
         for c0, fl0 in normalize_term(c, fl):
+            if any(_splits(f) for f in fl0):
+                # merged powers and the s = 0 residual of a paired pole
+                # can leave a pole leading with c > 1; pairing it with a
+                # leading-1 pole would leave the derived levels
+                work.extend(_split_leading(c0, fl0, trace))
+                continue
             if slot is not None and any(f.mu == 0 and f.leading() == slot
                                         for f in fl0):
                 raise AssertionError("monomial factor at an integrated slot")
@@ -434,7 +439,8 @@ def _pair_reduce(work, slot, trace=None):
             rest.remove(b)
             for c1, new in repl:
                 # a fresh delta factor may be a c-th power of a primitive
-                # monomial; split it before further pairing
+                # monomial; split it before normalization can merge it into
+                # a higher pole power, which takes more pairings to reduce
                 work.extend(_split_leading(c0 * c1, rest + new, trace))
     return done
 
@@ -447,8 +453,8 @@ def _split_leading(coeff, factors, trace=None):
     """
     terms = [(coeff, [])]
     for f in factors:
-        c = f.exps[f.leading()]
-        if f.mu == 1 and f.s == 1 and c > 1 and all(x % c == 0 for x in f.exps):
+        if _splits(f):
+            c = f.exps[f.leading()]
             prim = tuple(x // c for x in f.exps)
             split = root_split(f.root, prim, c)
             if trace is not None:
@@ -458,6 +464,15 @@ def _split_leading(coeff, factors, trace=None):
         else:
             terms = [(t0, fl0 + [f]) for t0, fl0 in terms]
     return terms
+
+
+def _splits(f):
+    """Whether root_split applies: an s=1, mu=1 pole whose leading exponent
+    c > 1 divides every exponent."""
+    if f.mu != 1 or f.s != 1:
+        return False
+    c = f.exps[f.leading()]
+    return c > 1 and all(x % c == 0 for x in f.exps)
 
 
 TRACEABLE_RULES = {
@@ -643,15 +658,21 @@ def reduce_B(h, vid):
 #   ('int', node)                  integral from 0 to y, dt/t
 #   ('const', node)                regularized value at y=1, as a constant
 
-def reduce_to_univariate(I, trace=None):
+def reduce_to_univariate(I, trace=None, memo=None):
     """Recipe for I(y_n): the integral of a uni-factor integrand over all
-    variables but the last, as a function of the last variable."""
+    variables but the last, as a function of the last variable.  `memo`
+    maps each sub-integral already planned to its node, so equal
+    sub-integrals share one node (a fresh dict if omitted)."""
     coords = tuple(range(I.nvars))
-    node = _p_recipe(coords, list(I.factors), trace)
+    node = _p_recipe(coords, tuple(I.factors), trace,
+                     {} if memo is None else memo)
     return ('sum', [(I.coeff, node)])
 
 
-def _p_recipe(coords, factors, trace=None):
+def _p_recipe(coords, factors, trace, memo):
+    key = ("p", coords, factors)
+    if key in memo:
+        return memo[key]
     last = coords[-1]
     pure = [f for f in factors if f.leading() == last]
     rest = [f for f in factors if f.leading() < last]
@@ -662,13 +683,14 @@ def _p_recipe(coords, factors, trace=None):
         for coef, M, h in reduce_A(coords, rest, len(coords) - 1, trace):
             if any(m.leading() < last for m in M):
                 raise AssertionError("free factor at an integrated slot")
-            node = _simple_recipe(h, trace)
+            node = _simple_recipe(h, trace, memo)
             if M:
                 node = ('mul', [_pure_factor(m) for m in M], node)
             parts.append((coef, node))
         node = ('sum', parts)
     if pure:
         node = ('mul', [_pure_factor(f) for f in pure], node)
+    memo[key] = node
     return node
 
 
@@ -679,24 +701,31 @@ def _pure_factor(f):
     return (f.root, f.exps[lead], f.mu, f.s)
 
 
-def _simple_recipe(h, trace=None):
+def _simple_recipe(h, trace, memo):
     """Recipe for a univariate simple object as a function of its last
     coordinate."""
+    key = ("simple", h.coords, h.factors, h.weight)
+    if key in memo:
+        return memo[key]
     if len(h.coords) != h.weight + 1:
         raise AssertionError("object is not univariate")
     if not h.is_simple():
         raise AssertionError("object is not simple")
-    if h.weight == 0:
-        return ('one',)
     last = h.coords[-1]
-    if all(f.exps[last] == 0 for f in h.factors):
+    if h.weight == 0:
+        node = ('one',)
+    elif all(f.exps[last] == 0 for f in h.factors):
         # constant in the free variable: its value is the full integral,
         # recovered as the regularized limit of the weight-w function
-        inner = _p_recipe(h.coords[:-1], list(h.factors), trace)
-        return ('const', ('int', inner))
-    parts = []
-    for c, obj in reduce_B(h, last):
-        if obj.weight != len(obj.coords) - 1:
-            raise AssertionError("derivative term is not univariate")
-        parts.append((c, _p_recipe(obj.coords, list(obj.factors), trace)))
-    return ('int', ('sum', parts))
+        inner = _p_recipe(h.coords[:-1], h.factors, trace, memo)
+        node = ('const', ('int', inner))
+    else:
+        parts = []
+        for c, obj in reduce_B(h, last):
+            if obj.weight != len(obj.coords) - 1:
+                raise AssertionError("derivative term is not univariate")
+            parts.append((c, _p_recipe(obj.coords, obj.factors, trace,
+                                       memo)))
+        node = ('int', ('sum', parts))
+    memo[key] = node
+    return node

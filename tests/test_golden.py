@@ -39,27 +39,27 @@ GOLDEN = {
     "q_2z3_alt": "d62a5432248bece42ff95788789c81a485b8e9a8d8d53db17f0a5890a712eea2",
     "q_2z3_i": "8cc1af4aa1e8b2fdad3c89a50b08b943e08ef201f0efdadaf9d0142d42cfd422",
     "q_z3_i": "ee631693a80f54753c62855e3e6456a4e1e6e327bce8fc84b8d6505f99078b82",
-    "k2_ones": "12261a7bb019883bda4a1c5ecbce3decf2d1e5e7eabd02f6f24d77e413407522",
-    "k2_none": "a278d9f81f8dacf24c3c3dcff8f77edc7d231718d4fe3d55c1a625010f418668",
-    "k2_mod3": "482db702cb8afba7baafbc795b470f0060fd99f7df1c4819d504ab435dc71ef3",
-    "k2_skew": "8d06d1383a8b6e7deb5d0ce5f9a2e2b3fede9fe2109cb5605fb81128a2bf3263",
+    "k2_ones": "5f3d70bf091400d964873cac1a8d3e667a78c3d9857a9ed0f4554ff158b4d292",
+    "k2_none": "dd01cb9f6368cd62996940acce994a19e739cfd248e69249f730ef73da1c93e9",
+    "k2_mod3": "2640615a62f6d010a27f3984ee1872d10dd255caeb581f6cba5cf4e3e19edc8b",
+    "k2_skew": "a29db858eac992c82823b27d0598b0927cdb90687341311fa1c571ab3de84f9e",
     "v_s3_alt": "a408f79d86df8648d296204130aecd36a5f032e6fd89bf4e776e904a9e03277b",
     "v_prod_w": "75c1bef813720a50d4388e82a8106693ebb7ce972de76b276592e04e9537b4b5",
     "v_2z3": "e23a713a7d1cb5db6b0fc6efea8253ab70d42da905805676777f01e56d6dd866",
     "v_2z3_i": "8cc1af4aa1e8b2fdad3c89a50b08b943e08ef201f0efdadaf9d0142d42cfd422",
-    "v_none": "304421b32f89ca91ae6920d2b1c28ce9824f5aee2af0003f2bd06ec2730f32b1",
+    "v_none": "043651f85cf690a07d2ec5b067c0b5d223021e770441aaca2671565155b8390b",
     "li5_i~": "b3e588aa8d69bd908d5599bbd4a445b10f42819fb5e4ea7b3b017768618b4ec4",
     "q_z3_w~": "f2cc7831004420e38bc686fe2b6e9579e0553aeee2b6411de35c57b87df3cb08",
     "q_2z3_i~": "970c9ab15a6477726c1844bed581f1098bdbccd3b51dc47bb5a1c3ab1f95914d",
     "q_z3_i~": "f78662cccb2a54cc96e7565325002aee7738ff934ddce64720da976b68fb53c1",
-    "k2_mod3~": "42c92546fab657860ba29ed1bc473ebe556a8dace81b31cee55c671e70a3c879",
+    "k2_mod3~": "1d08dbfbac59135b7b16549a37a5871e2e31ebecd64d7175e2692d615d36fcfe",
     "v_prod_w~": "75c1bef813720a50d4388e82a8106693ebb7ce972de76b276592e04e9537b4b5",
     "v_2z3_i~": "970c9ab15a6477726c1844bed581f1098bdbccd3b51dc47bb5a1c3ab1f95914d",
 }
 
 TRACE_GOLDEN = {
-    "k2_mod3": "6f778c56780d30a1de1fba83702566d47a24c5ad82d329a4fdd722b08fcc1149",
-    "k2_skew": "ae470be6a1aaefa08e5d34e0599ed9642fcfe08d0cda06f5368905296edff708",
+    "k2_mod3": "de10be4553455158ce6f059be36e9789b9077a4bc2a35d0078f16bc571451d4e",
+    "k2_skew": "ba97c4885f51235c2778a644db03aaca0bb0039809ba3530dfb639005183c5cd",
 }
 
 

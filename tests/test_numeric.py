@@ -2,6 +2,8 @@ import ast
 import math
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conezeta import numeric
 from conezeta.exact import CycloNumber, RootOfUnity, LatticeCharacter
 from conezeta.linalg import mat_det
 from conezeta.polylog import ZExpression
@@ -191,6 +192,18 @@ def test_oracle_is_independent_of_the_reduction():
     assert not seen & {"rewrite", "pipeline", "derivation"}, seen
 
 
+def test_numpy_stays_off_the_import_path():
+    """Only direct summation needs numpy, so importing the CLI (and every
+    module it imports) does not load it."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    code = "import sys, conezeta.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
+
+
 class TestEvalWord:
     def test_dilogarithm_words(self):
         # I(1; w_0 w_e) = (1/e) Li_2(e)
@@ -322,7 +335,7 @@ class TestCharacterGrid:
         def no_grid(*args, **kwargs):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(numeric.np, "arange", no_grid)
+        monkeypatch.setattr(np, "arange", no_grid)
         chi = LatticeCharacter(basis, 2, [1] * len(basis))
         with pytest.raises(ValueError):
             eval_cone_zeta(QUADRANT, [(1, 0), (0, 1), (1, 1)], chi,

@@ -1,11 +1,14 @@
 import itertools
+import json
 import math
+import os
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conezeta import cli
 from conezeta.exact import CycloNumber, LatticeCharacter, RootOfUnity
 from conezeta.geometry import Cone, open_simplicial_decomposition
 from conezeta.geometry import free_superlattice
@@ -19,6 +22,23 @@ from conezeta.numeric import (eval_zexpr, eval_cone_zeta, verify_reduction,
 
 ZETA2 = math.pi ** 2 / 6
 ZETA3 = 1.2020569031595942854
+
+POOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                    "perfbench", "pool.json")
+
+
+def pool_slot(job_id):
+    """The pool slot (job and reference) of a benchmark job."""
+    with open(POOL) as fh:
+        workloads = json.load(fh)["workloads"]
+    return next(s for slots in workloads.values() for s in slots
+                if s["id"] == job_id)
+
+
+def reduce_pool_job(job_id, **kwargs):
+    job = cli.parse_job(pool_slot(job_id)["job"])
+    return reduce_cone_zeta(job["generators"], job["forms"],
+                            character=job["character"], **kwargs)
 
 
 class TestEndToEnd:
@@ -148,6 +168,102 @@ class TestGroupedIntegration:
         assert (grouped.value - reference.value).is_zero()
         assert repr(grouped.symbols()) == repr(reference.symbols())
         assert reference.stats["uni_terms"] == grouped.stats["uni_terms"]
+
+
+def recipe_children(node):
+    op = node[0]
+    if op == "one":
+        return []
+    if op == "sum":
+        return [child for _, child in node[1]]
+    return [node[2] if op == "mul" else node[1]]
+
+
+class TestSharedRecipes:
+    """Equal sub-integrals of one reduction share one recipe node, and
+    execute_recipe evaluates each node once per reduce_cone_zeta call;
+    nothing is kept from one call to the next."""
+
+    @pytest.mark.parametrize("job_id", ["z2cubed", "k2_skew"])
+    def test_each_node_evaluated_once_per_call(self, job_id, monkeypatch):
+        from conezeta import pipeline
+        inner = pipeline.execute_recipe
+        received = []
+
+        def counted(node, *args, **kwargs):
+            received.append(node)
+            return inner(node, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "execute_recipe", counted)
+        work = []
+        for _ in range(2):
+            received.clear()
+            reduce_pool_job(job_id)
+            # `received` keeps every node alive, so no id is reused
+            ids = [id(node) for node in received]
+            assert len(set(ids)) == len(ids)
+            edges = [id(child) for node in received
+                     for child in recipe_children(node)]
+            assert set(edges) <= set(ids)
+            assert len(edges) > len(set(edges))  # some node is shared
+            work.append(len(received))
+        assert work[0] == work[1]
+
+    @pytest.mark.parametrize("job_id", ["k2_mod3", "k2_skew"])
+    def test_trace_replays(self, job_id):
+        res = reduce_pool_job(job_id, collect_trace=True)
+        assert len(res.trace) > 0
+        assert res.trace.replay()
+
+
+# Convergent jobs on which pair reduction used to cycle until its fuel ran
+# out (k2_slot, cyc3, k1_chi3), stop on "exponent difference ... not
+# sign-definite" (quad_assert, q2_assert) or report a spurious divergence
+# (div33), and a kappa = 3 job whose 3240 uni-terms are now 84 (k3).
+# References from mpmath at 18 digits with
+# perfbench/make_references.cone_sum_2d (k2_slot's is in the pool); div33's
+# cone (1,0),(3,3) has the interior points of (1,0),(1,1).
+PAIRING_JOBS = {
+    "cyc3": ([[1, 0], [1, 2]], [[1, 2], [1, 1], [1, 0]], None,
+             0.4070037393129099, 1.8e-15),
+    "k1_chi3": ([[1, 0], [1, 1]], [[1, 2], [1, 1], [0, 2]], (3, [2, 2]),
+                complex(0.02671323330811587, -0.006692619403474997),
+                1.4e-15),
+    "quad_assert": ([[1, 0], [0, 1]], [[2, 1], [1, 2], [1, 0]], None,
+                    0.5509427472814807, 2.4e-15),
+    "q2_assert": ([[1, 0], [1, 2]], [[2, 1], [1, 0], [1, 1]], None,
+                  0.37392205414629365, 2.3e-15),
+    "div33": ([[1, 0], [3, 3]], [[2, 1], [2, 0], [2, 2]], None,
+              0.03056513943670092, 1.2e-15),
+    "k3": ([[1, 0], [1, 3]], [[1, 0], [1, 1], [1, 1]], None,
+           0.7504723278153116, 6.0e-15),
+}
+
+
+class TestPairReductionEnds:
+    """Poles that normalization leaves leading with an exponent c > 1 are
+    root-split again before pairing, so these jobs answer, and each answer
+    passes the budget rule of cli.run_job against its reference."""
+
+    @pytest.mark.parametrize("job_id", ["k2_slot"] + sorted(PAIRING_JOBS))
+    def test_answer_within_budget(self, job_id):
+        if job_id in PAIRING_JOBS:
+            gens, forms, chi, want, bound = PAIRING_JOBS[job_id]
+            doc = {"ambientDim": 2, "cone": {"generators": gens},
+                   "forms": forms}
+            if chi is not None:
+                doc["character"] = {"modulus": chi[0], "exponents": chi[1]}
+        else:
+            slot = pool_slot(job_id)
+            doc, ref = slot["job"], slot["ref"]
+            want, bound = complex(ref["re"], ref["im"]), ref["bound"]
+        report, code = cli.run_job(cli.parse_job(doc), "reduce")
+        assert code == cli.EXIT_PASS
+        got = report["numericSymbolic"]
+        diff = abs(complex(got["re"], got["im"]) - want)
+        budget = max(report["budgets"]["tolerance"],
+                     4 * (got["bound"] + bound))
+        assert diff <= budget, (diff, budget)
 
 
 R2 = RootOfUnity(2, 1)

@@ -111,6 +111,10 @@ class TestRootSplit:
             out = root_split(root, prim, c)
             assert series_equal([Integrand(ONE, [whole], nvars)],
                                 as_integrands(out, nvars), DEG)
+            # one pole b*w/(1-b*w) per root b of e, each with coefficient 1/c
+            assert len(out) == c
+            assert all(coeff == Fraction(1, c) and len(fl) == 1
+                       for coeff, fl in out)
 
 
 class TestUniFactorize:
