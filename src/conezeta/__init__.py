@@ -16,10 +16,10 @@ from .rewrite import (FactorTerm, Integrand, ReductionTrace,
                       reduce_to_univariate)
 from .polylog import (PNormalForm, ZExpression, MZVSymbol, DivergentResult,
                       shuffle, multiply_factor, integrate_P, regularize_limit,
-                      word_value_series, mzv_symbol_from_word)
+                      mzv_symbol_from_word)
 from .pipeline import (reduce_cone_zeta, execute_recipe, ReductionResult,
                        PieceLimitExceeded)
 from .numeric import (EvalResult, eval_mzv, eval_zexpr, eval_cone_zeta,
-                      quad_check, verify_reduction)
+                      verify_reduction)
 
 __version__ = "0.1.0"

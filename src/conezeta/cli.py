@@ -262,10 +262,12 @@ def main(argv=None):
             value = getattr(args, flag[2:].replace("-", "_"))
             if value is not None:
                 _check_nonnegative(value, flag, most)
-        with open(args.job) as fh:
+        # JSON is UTF-8 whatever the locale; a file that is not, or that
+        # nests past the recursion limit, is a bad job like any other
+        with open(args.job, encoding="utf-8") as fh:
             doc = json.load(fh)
         job = parse_job(doc)
-    except (OSError, json.JSONDecodeError, ValidationError) as e:
+    except (OSError, ValueError, RecursionError, ValidationError) as e:
         print(json.dumps({"error": "VALIDATION", "message": str(e)},
                          sort_keys=True))
         return EXIT_VALIDATION

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .linalg import _rref, mat_mul, smith_normal_form, solve_consistent
+from .linalg import mat_mul, smith_normal_form, solve_consistent
 
 
 def rational_to_str(q):
@@ -219,24 +219,6 @@ class CycloNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        """Multiplicative inverse: den times the solution x of num * x = 1,
-        a linear system whose column j holds the coordinates of
-        num * zeta_N^j; the solution is R[j][d] / den over the integers."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        table, d = _reduction_table(self.N)
-        rows = [[0] * d + [int(t == 0)] for t in range(d)]
-        for i, a in enumerate(self.num):
-            if a:
-                for j in range(d):
-                    for t, r in table[i + j]:
-                        rows[t][j] += a * r
-        R, _, den, _ = _rref(rows, d)
-        sign = -1 if den < 0 else 1
-        return _cyclo(self.N, [sign * self.den * row[d] for row in R],
-                      sign * den)
-
     def is_zero(self):
         return not any(self.num)
 
@@ -325,9 +307,20 @@ ONE_ROOT = RootOfUnity(1, 0)
 
 @lru_cache(maxsize=None)
 def one_minus_inverse(root):
-    """(1 - root)^(-1) for a root of unity other than 1, a CycloNumber of
-    modulus root.order solved once per root and shared by every caller."""
-    return (1 - root.to_cyclo()).inverse()
+    """(1 - z)^(-1) for a root of unity z other than 1, a CycloNumber of
+    modulus n = z.order built once per root and shared by every caller.
+    Since (1 - z) * sum_j j z^j = -n for z^n = 1, z != 1, it is
+    -(1/n) sum_{j=1}^{n-1} j z^j, read off the rows of the reduction
+    table."""
+    n, k = root.order, root.exp
+    if n == 1:
+        raise ZeroDivisionError("1 - z is zero for z = 1")
+    table, d = _reduction_table(n)
+    num = [0] * d
+    for j in range(1, n):
+        for t, r in table[j * k % n]:
+            num[t] -= j * r
+    return _cyclo(n, num, n)
 
 
 def nth_roots(e, n):

@@ -13,6 +13,7 @@ powers of s = 1-y and T = -log(1-y).
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exact import CycloNumber, ONE_ROOT, nth_roots, one_minus_inverse
 
@@ -240,12 +241,12 @@ def _partial_fractions(j, poles):
         parts = ((poles, binv), (_pole_key(((b, m - 1),) + rest), -binv))
         j -= 1
     elif len(poles) > 1:
-        # 1/((1-ay)(1-by)) = A/(1-ay) + B/(1-by)
+        # 1/((1-ay)(1-by)) = A/(1-ay) + B/(1-by) with A = a/(a-b)
+        # = 1/(1 - b/a) and B = -b/(a-b) = 1 - A, of modulus lcm(a, b)
         (a, p), (b, q), rest = poles[0], poles[1], poles[2:]
-        ac, bc = a.to_cyclo(), b.to_cyclo()
-        den = (ac - bc).inverse()
-        parts = ((_pole_key(((a, p), (b, q - 1)) + rest), ac * den),
-                 (_pole_key(((a, p - 1), (b, q)) + rest), -bc * den))
+        A = one_minus_inverse(b * a.inverse()).embed(lcm(a.order, b.order))
+        parts = ((_pole_key(((a, p), (b, q - 1)) + rest), A),
+                 (_pole_key(((a, p - 1), (b, q)) + rest), 1 - A))
     else:
         return ((poles[0] if poles else (None, 0), ONE),)
     out = _Combination()

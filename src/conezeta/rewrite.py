@@ -335,29 +335,25 @@ def normalize_term(coeff, factors):
     return terms
 
 
-def partial_fraction_pair(F1, F2):
+def partial_fraction_pair(A, B):
     """Reduce a product of two pole factors with the same leading variable.
 
-    Both factors must have s=1, mu>=1 and share the leading variable.  The
-    returned list of (coeff, [factors]) sums to F1*F2.  The new factor's
-    monomial is the exponent difference, one level deeper.
+    Both factors must have s=1, mu>=1 and share the leading variable, and
+    A.exps <= B.exps in every entry, as for the key-sorted pairs that
+    _pair_reduce passes.  The returned list of (coeff, [factors]) sums to
+    A*B.  The new factor's monomial is the exponent difference, one level
+    deeper.
     """
-    if F1.s != 1 or F2.s != 1 or F1.mu < 1 or F2.mu < 1:
+    if A.s != 1 or B.s != 1 or A.mu < 1 or B.mu < 1:
         raise ValueError("pair reduction expects s=1 pole factors")
-    if F1.leading() != F2.leading():
+    if A.leading() != B.leading():
         raise ValueError("factors must share the leading variable")
-    if F1.exps == F2.exps and F1.root == F2.root:
+    if A.exps == B.exps and A.root == B.root:
         raise ValueError("identical factors should be merged, not paired")
-    # order so that delta = exps2 - exps1 is nonnegative
-    d12 = [b - a for a, b in zip(F1.exps, F2.exps)]
-    if all(x >= 0 for x in d12):
-        A, B = F1, F2
-    elif all(x <= 0 for x in d12):
-        A, B = F2, F1
-    else:
-        raise AssertionError("exponent difference of a clashing pair is not "
-                             "sign-definite; derived sequence violated")
-    delta = tuple(abs(b - a) for a, b in zip(A.exps, B.exps))
+    delta = tuple(b - a for a, b in zip(A.exps, B.exps))
+    if any(x < 0 for x in delta):
+        raise AssertionError("a clashing pair needs A.exps <= B.exps in "
+                             "every entry; derived sequence violated")
     eq = B.root * A.root.inverse()  # ratio u_B/u_A = eq * y^delta
     def residual(f):
         # (1-u)^-(mu-1), dropped entirely when mu-1 == 0
@@ -369,11 +365,11 @@ def partial_fraction_pair(F1, F2):
     if all(x == 0 for x in delta):
         if eq.is_one():
             raise AssertionError("clashing pair with equal monomial and root")
-        # constant X = eq/(1-eq); L1 L2 = X L1' + (-X-1) L2'
-        eqc = eq.to_cyclo()
-        X = eqc * one_minus_inverse(eq)
-        out.append((X, [A] + residual(B)))
-        out.append((-X - ONE, [B] + residual(A)))
+        # constant X = eq/(1-eq) = inv - 1 with inv = 1/(1-eq);
+        # L1 L2 = X L1' + (-X-1) L2'
+        inv = one_minus_inverse(eq)
+        out.append((inv - 1, [A] + residual(B)))
+        out.append((-inv, [B] + residual(A)))
     else:
         X = FactorTerm(eq, delta, 1, 1)
         out.append((ONE, [A, X] + residual(B)))

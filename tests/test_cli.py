@@ -214,6 +214,17 @@ class TestMain:
     def test_missing_file(self, capsys):
         assert main(["reduce", "/nonexistent/job.json"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00{", b"[" * 200000],
+                             ids=["not_utf8", "nested_past_recursion_limit"])
+    def test_unreadable_job_is_one_validation_line(self, tmp_path, capsys,
+                                                   content):
+        path = tmp_path / "job.json"
+        path.write_bytes(content)
+        assert main(["reduce", str(path)]) == EXIT_VALIDATION
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "VALIDATION"
+
     def test_max_pieces_flag(self, tmp_path, capsys):
         path = write_job(tmp_path, zeta2_job())
         assert main(["reduce", path, "--max-pieces", "0"]) == EXIT_VALIDATION

@@ -159,6 +159,21 @@ class TestPartialFractions:
         with pytest.raises(AssertionError):
             _partial_fractions(degree + 1, poles)
 
+    def test_two_simple_poles_exactly(self):
+        # 1/((1-ay)(1-by)) = c_a/(1-ay) + c_b/(1-by) holds exactly iff
+        # c_a + c_b = 1 and c_a b + c_b a = 0, for every ordered pair of
+        # distinct roots of order <= 12
+        roots = [RootOfUnity(n, k) for n in range(1, 13) for k in range(n)
+                 if math.gcd(n, k) == 1]
+        pairs = list(itertools.permutations(roots, 2))
+        assert len(pairs) == 2070
+        for a, b in pairs:
+            parts = dict(_partial_fractions(0, _pole_key(((a, 1), (b, 1)))))
+            assert set(parts) == {(a, 1), (b, 1)}
+            ca, cb = parts[(a, 1)], parts[(b, 1)]
+            assert ca + cb == 1
+            assert (ca * b.to_cyclo() + cb * a.to_cyclo()).is_zero()
+
     def test_cached_value_is_not_mutated(self):
         pnf = multiply_factor(PNormalForm.one(), WM1, 1, 2, 1)
         first, second = (multiply_factor(pnf, RootOfUnity(3, 1), 2, 1, 1)
