@@ -6,7 +6,7 @@ Main entry points: `reduce_cone_zeta` for the symbolic reduction and
 
 from .exact import (CycloNumber, RootOfUnity, LatticeCharacter, nth_roots,
                     restrict_character, induced_character_decompose)
-from .geometry import (Cone, SimplicialCone, Lattice, triangulate,
+from .geometry import (Cone, SimplicialCone, triangulate,
                        open_simplicial_decomposition, free_superlattice)
 from .derivation import (DerivedSequence, build_derived_sequences,
                          primitive_rescale)

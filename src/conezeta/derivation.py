@@ -11,18 +11,18 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .geometry import Cone, SimplicialCone, refine_definite
-from .linalg import dot, primitive_int_vector, solve_consistent
+from .geometry import Cone, refine_definite
+from .linalg import dot, mat_rank, primitive_int_vector, solve_consistent
 
 
 class DerivedSequence:
     """Flagged simplicial cone with compatible form sets at every level."""
 
-    __slots__ = ("cone", "levels")
+    __slots__ = ("generators", "levels")
 
-    def __init__(self, cone, levels):
-        self.cone = cone  # SimplicialCone, generator order = flag order
-        n = len(cone.generators)
+    def __init__(self, generators, levels):
+        self.generators = tuple(map(tuple, generators))  # in flag order
+        n = len(self.generators)
         if len(levels) != n:
             raise ValueError("expected %d levels" % n)
         lv = []
@@ -36,12 +36,14 @@ class DerivedSequence:
 
     @property
     def n(self):
-        return len(self.cone.generators)
+        return len(self.generators)
 
     def validate(self):
         """Check the derived-sequence axioms; returns a list of violations."""
         errors = []
         n = self.n
+        if mat_rank(self.generators) != n:
+            errors.append("generators are linearly dependent")
         for i, level in enumerate(self.levels):
             for v in level:
                 if all(x == 0 for x in v):
@@ -72,7 +74,7 @@ class DerivedSequence:
 
     def __repr__(self):
         return "DerivedSequence(gens=%s, levels=%s)" % (
-            list(self.cone.generators), [list(l) for l in self.levels])
+            list(self.generators), [list(l) for l in self.levels])
 
 
 def derived_level(level):
@@ -154,7 +156,7 @@ def build_derived_sequences(C, S):
     out = []
     # the branch generators are primitive rays already
     for gens, levels in _derive_branches(list(C.generators), S):
-        ds = DerivedSequence(SimplicialCone(gens), levels)
+        ds = DerivedSequence(gens, levels)
         errs = ds.validate()
         if errs:
             raise AssertionError("invalid derived sequence: %s" % errs)
@@ -185,12 +187,10 @@ def primitive_rescale(D):
                     need = lcm(need, r.denominator)
         e[j] = need
     new_gens = [tuple(ej * x for x in g)
-                for ej, g in zip(e, D.cone.generators)]
+                for ej, g in zip(e, D.generators)]
     new_levels = []
     for i, level in enumerate(D.levels):
         new_levels.append([tuple(x * e[i + t] for t, x in enumerate(v))
                            for v in level])
-    rescaled = DerivedSequence(SimplicialCone(new_gens, normalize=False),
-                               new_levels)
-    return e, rescaled
+    return e, DerivedSequence(new_gens, new_levels)
 

@@ -16,32 +16,6 @@ def _basis_coords(basis, x):
     return solve_consistent(list(zip(*basis)), x)
 
 
-class Lattice:
-    """Full-rank-in-its-span lattice given by basis rows; int entries stay
-    ints, others become Fractions."""
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis):
-        self.basis = tuple(tuple(x if isinstance(x, int) else Fraction(x)
-                                 for x in row) for row in basis)
-        if self.basis and mat_rank(self.basis) != len(self.basis):
-            raise ValueError("lattice basis must be linearly independent")
-
-    def coords_of(self, x):
-        return _basis_coords(self.basis, x)
-
-    def contains(self, x):
-        try:
-            c = self.coords_of(x)
-        except ValueError:
-            return False
-        return all(v.denominator == 1 for v in c)
-
-    def __repr__(self):
-        return "Lattice(%s)" % (list(map(list, self.basis)),)
-
-
 def _saturation(generators):
     """(basis, V) for the lattice Z^m intersected with the rational span of
     the generators.  The rows of `basis` are the first r rows of V^-1, so a
@@ -56,11 +30,6 @@ def _saturation(generators):
     # past column r, and the rows of S V^-1 span the row space
     _, V, Vinv = smith_normal_form(gens)
     return Vinv[:r], V
-
-
-def span_integer_lattice(generators):
-    """Lattice Z^m intersected with the rational span of the generators."""
-    return Lattice(_saturation(generators)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +140,8 @@ class Cone:
 class SimplicialCone(Cone):
     """Cone on linearly independent ordered generators."""
 
-    def __init__(self, generators, normalize=True):
-        if normalize:
-            gens = [primitive_ray(g) for g in generators]
-        else:
-            gens = [tuple(x.numerator if x.denominator == 1 else Fraction(x)
-                          for x in g) for g in generators]
+    def __init__(self, generators):
+        gens = [primitive_ray(g) for g in generators]
         if mat_rank(gens) != len(gens):
             raise ValueError("generators of a simplicial cone must be independent")
         self.ambient_dim = len(gens[0])
@@ -234,8 +199,9 @@ def triangulate(C):
 def open_simplicial_decomposition(C):
     """Partition of the relative interior of C into open simplicial pieces.
 
-    Returns a list of (SimplicialCone piece, Lattice of span(piece) ∩ Z^m);
-    the relatively open pieces are pairwise disjoint and cover C's interior.
+    Returns a list of (SimplicialCone piece, its cached `span_basis()`, the
+    basis rows of span(piece) ∩ Z^m); the relatively open pieces are
+    pairwise disjoint and cover C's interior.
     """
     tri = triangulate(C)
     seen = {}
@@ -247,30 +213,28 @@ def open_simplicial_decomposition(C):
                 if face not in seen:
                     seen[face] = SimplicialCone(face)
     # keep faces whose relative interior lies in the interior of C
-    return [(face, span_integer_lattice(face.generators))
+    return [(face, face.span_basis())
             for gens, face in sorted(seen.items())
             if C.interior_contains([sum(col) for col in zip(*gens)])]
 
 
 def free_superlattice(delta, L):
-    """Free super-lattice of L meeting closure(delta) in a free semigroup.
-
-    Returns (Lattice, ordered generators of the free semigroup, index kappa
-    = [L : ⊕ Z g_i] with g_i the primitive L-points on the rays of delta).
+    """Generators g_i / kappa of the free semigroup in which the super-lattice
+    ⊕ Z g_i / kappa of L (basis rows) meets closure(delta); g_i are the
+    primitive L-points on the rays of delta and kappa = [L : ⊕ Z g_i].  The
+    super-lattice has index kappa^(d-1) over L for a d-dimensional delta.
     """
     prims = []
     for g in delta.generators:
-        c = L.coords_of(g)
+        c = _basis_coords(L, g)
         den = lcm(*(v.denominator for v in c))
         # minimal t > 0 with t*g in L
         t = Fraction(den, gcd(*(int(v * den) for v in c)))
         prims.append([t * Fraction(x) for x in g])
-    M = [L.coords_of(p) for p in prims]
-    kappa = abs(mat_det(M))
+    kappa = abs(mat_det([_basis_coords(L, p) for p in prims]))
     if kappa == 0:
         raise ValueError("degenerate simplicial cone")
-    gens = [[Fraction(x) / kappa for x in p] for p in prims]
-    return Lattice(gens), gens, kappa
+    return [[Fraction(x) / kappa for x in p] for p in prims]
 
 
 # ---------------------------------------------------------------------------

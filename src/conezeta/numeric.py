@@ -187,13 +187,16 @@ def eval_zexpr(zx):
     return EvalResult(total, err)
 
 
-def zexpr_zero_check(tol=1e-8):
+ZERO_TOL = 1e-8
+
+
+def zexpr_zero_check():
     """Callback deciding whether a ZExpression vanishes numerically: its
-    eval_zexpr value has modulus at most max(tol, 4 * error).  That error
-    is far below 1e-8, so `tol` decides."""
+    eval_zexpr value has modulus at most max(ZERO_TOL, 4 * error).  That
+    error is far below ZERO_TOL, so ZERO_TOL decides."""
     def check(zx):
         r = eval_zexpr(zx)
-        return abs(r.value) <= max(tol, 4 * r.error)
+        return abs(r.value) <= max(ZERO_TOL, 4 * r.error)
     return check
 
 

@@ -133,10 +133,10 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
     # reject divergent jobs before reducing anything
     prepared = []
     for face, L in pieces:
-        lbar, free_gens, kappa = free_superlattice(face, L)
+        free_gens = free_superlattice(face, L)
         if not convergence_check(free_gens, forms):
             raise DivergentResult("defining sum diverges on a piece")
-        prepared.append((face, L, lbar, free_gens, kappa))
+        prepared.append((L, free_gens))
     total = ZExpression()
     stats = {"pieces": len(pieces), "characters": 0, "branches": 0,
              "uni_terms": 0, "distinct_integrands": 0}
@@ -144,12 +144,15 @@ def reduce_cone_zeta(generators, forms, character=None, check_zero=None,
     # each exponent-class list (the induced characters of a piece share
     # them), one recipe node per sub-integral and the value of each node
     memo = {}
-    for face, L, lbar, free_gens, kappa in prepared:
-        chi_l = restrict_character(character, L.basis)
-        for chi in induced_character_decompose(lbar.basis, chi_l):
-            stats["characters"] += 1
-            I = integral_expression(free_gens, forms, chi)
-            I = I.scaled(Fraction(1, kappa))
+    for L, free_gens in prepared:
+        chi_l = restrict_character(character, L)
+        chars = induced_character_decompose(free_gens, chi_l)
+        stats["characters"] += len(chars)
+        # the extensions of chi_l to the super-lattice sum to its index over
+        # L times chi_l on L, and to 0 off L
+        scale = Fraction(1, len(chars))
+        for chi in chars:
+            I = integral_expression(free_gens, forms, chi).scaled(scale)
             total = total + _reduce_integrand(I, trace, check_zero, stats,
                                               memo)
     return ReductionResult(total, stats, trace)

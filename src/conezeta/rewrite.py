@@ -245,15 +245,15 @@ def root_split(root, prim_exps, c):
 def change_coordinates(I, pieces):
     """Rewrite a type-S integrand on the orthant over derived-sequence pieces.
 
-    `pieces` is a list of rescaled DerivedSequences whose cones decompose the
-    orthant.  Returns one Integrand per piece; summing their integrals over
-    (0,1)^n reproduces the integral of I.  Every factor monomial is a
+    `pieces` is a list of rescaled DerivedSequences whose generators span
+    cones that decompose the orthant.  Returns one Integrand per piece;
+    summing their integrals over (0,1)^n reproduces the integral of I.  Every factor monomial is a
     multiple of a variable-part representative; uni_factorize splits it.
     """
     out = []
     n = I.nvars
     for ds in pieces:
-        gens = ds.cone.generators  # columns of the substitution matrix
+        gens = ds.generators  # columns of the substitution matrix
         if len(gens) != n:
             raise ValueError("piece dimension mismatch")
         A = [[g[i] for g in gens] for i in range(n)]  # A[i][k]

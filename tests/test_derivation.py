@@ -50,7 +50,7 @@ class TestBuildDerivedSequences:
         for _ in range(10):
             C, forms = random_instance(rnd, 2)
             branches = build_derived_sequences(C, forms)
-            cones = [ds.cone for ds in branches]
+            cones = [SimplicialCone(ds.generators) for ds in branches]
             for _ in range(80):
                 x = (rnd.randint(-3, 6), rnd.randint(-3, 6))
                 hits = sum(1 for c in cones if c.contains(x))
@@ -83,6 +83,12 @@ class TestBuildDerivedSequences:
         with pytest.raises(ValueError):
             build_derived_sequences(C, [(0, 0)])
 
+    def test_validate_reports_dependent_generators(self):
+        ds = DerivedSequence([(1, 0), (2, 0)], [[(1, 1)], [(1,)]])
+        assert ds.validate() == ["generators are linearly dependent"]
+        assert DerivedSequence([(1, 0), (0, 1)],
+                               [[(1, 1)], [(1,)]]).validate() == []
+
 
 class TestPrimitiveRescale:
     def test_leading_entries_become_one(self):
@@ -103,13 +109,12 @@ class TestPrimitiveRescale:
                 assert r.validate() == []
 
     def test_rescaled_generators_kept_unnormalized(self):
-        # the rescale multiplies generators by integers; the cone must keep
-        # those multiples for the later change of coordinates
+        # the rescale multiplies generators by integers; the derived sequence
+        # must keep those multiples for the later change of coordinates
         ds = build_derived_sequences(
             SimplicialCone([(1, 0), (0, 1)]),
             [(1, 1), (1, 3)])[0]
         e, r = primitive_rescale(ds)
-        for scale, g_old, g_new in zip(e, ds.cone.generators,
-                                       r.cone.generators):
+        for scale, g_old, g_new in zip(e, ds.generators, r.generators):
             assert tuple(Fraction(scale) * Fraction(x) for x in g_old) == \
                 tuple(Fraction(x) for x in g_new)

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conezeta import geometry
-from conezeta.geometry import (Cone, SimplicialCone, Lattice, triangulate,
+from conezeta.geometry import (Cone, SimplicialCone, triangulate,
                                open_simplicial_decomposition,
-                               span_integer_lattice,
                                free_superlattice,
                                refine_definite, _pulling,
                                extreme_rays_from_inequalities)
-from conezeta.linalg import dot, identity, mat_rank, primitive_int_vector
+from conezeta.linalg import (dot, identity, mat_det, mat_rank,
+                             primitive_int_vector, solve_consistent)
 
 
 class TestCone:
@@ -34,10 +34,10 @@ class TestIntegerSpan:
 
     def test_lattice_basis_and_coordinates_are_ints(self):
         gens = [(1, 0, 2), (0, 1, 1), (1, 1, 3)]
-        basis = span_integer_lattice(gens).basis
+        C = Cone(gens)
+        basis = C.span_basis()
         assert len(basis) == 2
         assert all(type(x) is int for row in basis for x in row)
-        C = Cone(gens)
         for g in gens + [(2, 3, 7)]:
             coords = C.span_coords(g)
             assert all(type(c) is int for c in coords)
@@ -100,31 +100,45 @@ class TestOpenDecomposition:
             assert hits == (1 if C.interior_contains(x) else 0)
 
 
+def _in_span_lattice(gens, x):
+    """Whether x has integer coordinates in the rows `gens`."""
+    c = solve_consistent([list(col) for col in zip(*gens)], list(x))
+    return all(Fraction(v).denominator == 1 for v in c)
+
+
 class TestFreeSuperlattice:
     def test_non_unimodular_example(self):
         C = SimplicialCone([(1, 0), (1, 2)])
-        L = Lattice(identity(2))
-        lbar, gens, kappa = free_superlattice(C, L)
-        assert kappa == 2
+        gens = free_superlattice(C, identity(2))
+        # kappa = 2: the super-lattice has covolume 1/2
+        assert abs(mat_det(gens)) == Fraction(1, 2)
         assert sorted(tuple(map(Fraction, g)) for g in gens) == [
             (Fraction(1, 2), Fraction(0)), (Fraction(1, 2), Fraction(1))]
         # Z^2 is contained in the superlattice
         for x in itertools.product(range(-2, 3), repeat=2):
-            assert lbar.contains(list(x))
+            assert _in_span_lattice(gens, x)
 
     def test_unimodular_is_identity(self):
         C = SimplicialCone([(1, 0), (0, 1)])
-        lbar, gens, kappa = free_superlattice(C, Lattice(identity(2)))
-        assert kappa == 1
+        gens = free_superlattice(C, identity(2))
+        assert abs(mat_det(gens)) == 1
         assert sorted(tuple(map(int, g)) for g in gens) == [(0, 1), (1, 0)]
+
+    def test_index_over_the_lattice_is_kappa_to_the_d_minus_1(self):
+        # a 3-D simplex with kappa = 2: the super-lattice Z g_i / 2 has
+        # covolume 2 / 2^3 = 1/4, index 4 over Z^3
+        C = SimplicialCone([(1, 0, 1), (0, 1, 1), (-1, 0, 1)])
+        gens = free_superlattice(C, identity(3))
+        assert abs(mat_det(gens)) == Fraction(1, 4)
+        for x in itertools.product(range(-1, 2), repeat=3):
+            assert _in_span_lattice(gens, x)
 
     def test_free_semigroup_covers_interior(self):
         # every interior lattice point is a positive integer combination of
         # the free generators
         C = SimplicialCone([(1, 0), (1, 2)])
-        lbar, gens, kappa = free_superlattice(C, Lattice(identity(2)))
+        gens = free_superlattice(C, identity(2))
         cols = [[Fraction(g[i]) for g in gens] for i in range(2)]
-        from conezeta.linalg import solve_consistent
         for x in itertools.product(range(0, 7), repeat=2):
             if not C.interior_contains(x):
                 continue
@@ -236,10 +250,9 @@ class TestFractionalSpan:
     def test_fractional_generators_span_the_plane(self):
         # entries are scaled to integers, not truncated by int()
         C = SimplicialCone([(Fraction(1, 2), Fraction(1, 3)),
-                            (0, Fraction(1, 2))], normalize=False)
+                            (0, Fraction(1, 2))])
         assert C.dim == 2
-        C = SimplicialCone([(Fraction(1, 2), 1), (0, Fraction(1, 2))],
-                           normalize=False)
+        C = SimplicialCone([(Fraction(1, 2), 1), (0, Fraction(1, 2))])
         assert C.dim == 2
         assert [t.generators for t in triangulate(C)] == [
             t.generators for t in _pulling([(1, 2), (0, 1)])]
@@ -259,6 +272,5 @@ class TestTriangulateIndependent:
             fractional = [tuple(Fraction(x, t) for x in g)
                           for t, g in zip(scales, gens)]
             expected = [t.generators for t in _pulling(gens)]
-            for C in (Cone(fractional),
-                      SimplicialCone(scaled, normalize=False)):
+            for C in (Cone(fractional), SimplicialCone(scaled)):
                 assert [t.generators for t in triangulate(C)] == expected

@@ -12,7 +12,7 @@ from conezeta import cli
 from conezeta.exact import CycloNumber, LatticeCharacter, RootOfUnity
 from conezeta.geometry import Cone, open_simplicial_decomposition
 from conezeta.geometry import free_superlattice
-from conezeta.linalg import dot
+from conezeta.linalg import dot, mat_det
 from conezeta.polylog import DivergentResult, regularize_limit
 from conezeta.rewrite import FactorTerm, Integrand
 from conezeta.pipeline import (reduce_cone_zeta, PieceLimitExceeded,
@@ -107,10 +107,13 @@ class TestInducedDecomposition:
         R = 60
         assert len(pieces) == 1
         face, L = pieces[0]
-        lbar, free_gens, kappa = free_superlattice(face, L)
+        free_gens = free_superlattice(face, L)
+        # over L = Z^2 a 2-D super-lattice Z g_i / kappa has covolume
+        # kappa / kappa^2
+        kappa = 1 / abs(mat_det(free_gens))
         assert kappa > 1
-        chi_l = restrict_character(chi0, L.basis)
-        chars = induced_character_decompose(lbar.basis, chi_l)
+        chi_l = restrict_character(chi0, L)
+        chars = induced_character_decompose(free_gens, chi_l)
         assert len(chars) == kappa
         total = 0j
         direct = 0.0
@@ -379,3 +382,38 @@ class TestFormOrder:
             res = reduce_cone_zeta(gens, list(order), check_zero=check)
             got = eval_zexpr(res.value).value
             assert abs(got - want) < 1e-10, (order, got)
+
+
+def _eta(s):
+    """Alternating zeta: sum over c >= 1 of (-1)^(c-1) / c^s."""
+    return (1 - mpmath.mpf(2) ** (1 - s)) * mpmath.zeta(s)
+
+
+# Cones in Z^3 with the form (0,0,1) four times: the interior points of
+# height c number 2c^2 - 2c + 1 (square cone), (c-1)^2 (simplex) and 2c - 1
+# (the 2-D piece), so each value is a combination of zeta(2..4), with
+# chi(x) = (-1)^(x_3) turning zeta into -eta.  The square cone and the
+# simplex have 3-D pieces of kappa = 2.
+SQUARE = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+Z = mpmath.zeta
+CLOSED_FORM_3D_JOBS = [
+    (SQUARE, None, 2 * Z(2) - 2 * Z(3) + Z(4)),
+    (SQUARE, (2, (0, 0, 1)), -2 * _eta(2) + 2 * _eta(3) - _eta(4)),
+    ([[-1, 0, 1], [1, 0, 1], [0, 1, 1]], None, Z(2) - 2 * Z(3) + Z(4)),
+    ([[-1, 0, 1], [1, 0, 1]], None, 2 * Z(3) - Z(4)),
+]
+
+
+class TestClosedForms3D:
+    """A d-dimensional piece's induced characters number [Lbar : L] =
+    kappa^(d-1), and the reduction divides by that count: 3-D pieces with
+    kappa > 1 must give the closed form, not kappa times it."""
+
+    @pytest.mark.parametrize("gens, chi, want", CLOSED_FORM_3D_JOBS, ids=[
+        "square", "square_chi2", "simplex", "plane_piece"])
+    def test_value_matches_closed_form(self, gens, chi, want):
+        character = None if chi is None else \
+            LatticeCharacter([[1, 0, 0], [0, 1, 0], [0, 0, 1]], *chi)
+        res = reduce_cone_zeta(gens, [(0, 0, 1)] * 4, character=character)
+        got = eval_zexpr(res.value).value
+        assert abs(got - complex(want)) < 1e-12

@@ -215,7 +215,7 @@ class TestChangeCoordinates:
         rnd = random.Random(7)
         n = I.nvars
         for ds, J in out:
-            gens = ds.cone.generators
+            gens = ds.generators
             A = [[Fraction(g[i]) for g in gens] for i in range(n)]
             jac = abs(mat_det(A))
             for _ in range(25):
